@@ -20,9 +20,6 @@
 //     observation recorder attached to every sequencer, plus
 //     recording_overhead_pct vs the plain shard (ISSUE 6 acceptance
 //     bar: <= 15%).
-//   - e3_stress_multi: the two-accelerator E3 shard — two devices, each
-//     behind its own address-sharded guard, migrating ownership through
-//     one MESI host (ISSUE 7).
 //
 // Usage:
 //
@@ -60,9 +57,10 @@ type bench struct {
 	SimTicksPerSec float64 `json:"sim_ticks_per_sec,omitempty"`
 }
 
-// report is the BENCH_PR7.json schema (xgbench/3: adds the
-// two-accelerator stress shard; xgbench/2 added the steady-state engine
-// gate and the observation-recording overhead pair). Field order is
+// report is the BENCH_PR7.json schema (xgbench/4: drops xgbench/3's
+// two-accelerator stress shard, which simulated the same event stream as
+// e3_stress; xgbench/2 added the steady-state engine gate and the
+// observation-recording overhead pair). Field order is
 // fixed by the struct; runs on the same machine diff cleanly except for
 // measured values, and every xgbench/2 field keeps its name so the
 // -baseline comparison reads old files directly.
@@ -83,11 +81,7 @@ type report struct {
 	// ns/op — what attaching the offline checker's observation streams
 	// costs the full simulator (ISSUE 6 budget: <= 15%).
 	RecordingOverheadPct float64 `json:"recording_overhead_pct"`
-	// E3StressMulti is the e3_stress shard on the two-accelerator
-	// machine (Accels: 2, Shards: 4): same tester, twice the guards,
-	// every migration crossing both. New in xgbench/3.
-	E3StressMulti bench `json:"e3_stress_multi"`
-	E5Runtime     bench `json:"e5_runtime"`
+	E5Runtime            bench   `json:"e5_runtime"`
 }
 
 // measure converts a testing.BenchmarkResult, attaching ticks/sec when
@@ -163,7 +157,7 @@ func main() {
 	check := flag.Bool("check", false, "exit nonzero if any budget is blown: steady-state allocs/op > 0 (fabric_send, engine_schedule_steady), recording overhead > 15%, or single-accelerator ns/op > 5% over -baseline (CI gate)")
 	flag.Parse()
 
-	rep := report{Schema: "xgbench/3"}
+	rep := report{Schema: "xgbench/4"}
 
 	fmt.Fprintln(os.Stderr, "xgbench: engine schedule/drain (new kernel)...")
 	rep.EngineSchedule = measure(testing.Benchmark(func(b *testing.B) {
@@ -242,20 +236,6 @@ func main() {
 		rep.RecordingOverheadPct = 100 * (rep.E3StressRecorded.NsPerOp - rep.E3Stress.NsPerOp) /
 			rep.E3Stress.NsPerOp
 	}
-
-	e3mTicks, _, err := perfbench.StressShardMulti(shardSeed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xgbench: multi-accel e3 shard: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "xgbench: E3 stress shard (two accelerators)...")
-	rep.E3StressMulti = measure(testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := perfbench.StressShardMulti(shardSeed); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}), float64(e3mTicks))
 
 	e5Ticks, _, err := perfbench.WorkloadShard(workloadSeed)
 	if err != nil {

@@ -33,7 +33,7 @@ type L1Cache struct {
 
 	cache      *cacheset.Cache[aLine]
 	wb         map[mem.Addr]*aLine // put-origin B entries
-	waitingOps map[mem.Addr][]*coherence.Msg
+	waiting    coherence.LineQueue[*coherence.Msg]
 	stalledOps []*coherence.Msg
 
 	// epoch is the guard epoch this cache operates under (0 until the
@@ -55,10 +55,9 @@ func NewL1Cache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.
 	xg coherence.NodeID, cfg Config) *L1Cache {
 	c := &L1Cache{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
-		cache:      cacheset.New[aLine](cfg.L1Sets, cfg.L1Ways),
-		wb:         make(map[mem.Addr]*aLine),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
-		Cov:        NewTable1Coverage(),
+		cache: cacheset.New[aLine](cfg.L1Sets, cfg.L1Ways),
+		wb:    make(map[mem.Addr]*aLine),
+		Cov:   NewTable1Coverage(),
 	}
 	fab.Register(c)
 	return c
@@ -139,7 +138,7 @@ func (c *L1Cache) Reset(epoch uint32) {
 	c.epoch = epoch
 	c.cache = cacheset.New[aLine](c.cfg.L1Sets, c.cfg.L1Ways)
 	c.wb = make(map[mem.Addr]*aLine)
-	c.waitingOps = make(map[mem.Addr][]*coherence.Msg)
+	c.waiting.Reset()
 	c.stalledOps = nil
 }
 
@@ -169,13 +168,13 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 	if _, busy := c.wb[line]; busy {
 		// Table 1: B stalls loads, stores, and replacements.
 		c.Cov.Record("B", opEv(m))
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waiting.Park(line, m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == AB {
 		c.Cov.Record("B", opEv(m))
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waiting.Park(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -359,13 +358,7 @@ func (c *L1Cache) sendToXG(ty coherence.MsgType, line mem.Addr, data *mem.Block,
 }
 
 func (c *L1Cache) settled(line mem.Addr) {
-	if q := c.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(c.waitingOps, line)
-		} else {
-			c.waitingOps[line] = q[1:]
-		}
+	if next, ok := c.waiting.Pop(line); ok {
 		c.eng.Schedule(0, func() { c.handleCPU(next) })
 	}
 	if len(c.stalledOps) > 0 {
@@ -380,10 +373,7 @@ func (c *L1Cache) settled(line mem.Addr) {
 
 // Outstanding reports open transactions.
 func (c *L1Cache) Outstanding() int {
-	n := len(c.wb) + len(c.stalledOps)
-	for _, q := range c.waitingOps {
-		n += len(q)
-	}
+	n := len(c.wb) + len(c.stalledOps) + c.waiting.Len()
 	c.cache.Visit(func(e *cacheset.Entry[aLine]) {
 		if e.V.state == AB {
 			n++

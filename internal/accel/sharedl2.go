@@ -53,9 +53,8 @@ type SharedL2 struct {
 
 	cache     *cacheset.Cache[sl2Line]
 	evictions map[mem.Addr]*sl2Line // writebacks to the guard awaiting WBAck
-	waiting   map[mem.Addr][]*coherence.Msg
+	waiting   coherence.LineQueue[*coherence.Msg]
 	stalled   []*coherence.Msg
-	replaying *coherence.Msg // message being replayed from the queue head
 	// hostInv holds a guard Invalidate that arrived during a local
 	// transaction; it is serviced with priority as soon as the line goes
 	// idle, ahead of queued requests (whose own guard Gets may be
@@ -85,7 +84,6 @@ func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
 		cache:     cacheset.New[sl2Line](cfg.L2Sets, cfg.L2Ways),
 		evictions: make(map[mem.Addr]*sl2Line),
-		waiting:   make(map[mem.Addr][]*coherence.Msg),
 		hostInv:   make(map[mem.Addr]*coherence.Msg),
 		ignoreAck: make(map[mem.Addr]map[coherence.NodeID]int),
 		Cov:       NewSharedL2Coverage(),
@@ -164,9 +162,8 @@ func (l *SharedL2) Reset(epoch uint32) {
 	l.epoch = epoch
 	l.cache = cacheset.New[sl2Line](l.cfg.L2Sets, l.cfg.L2Ways)
 	l.evictions = make(map[mem.Addr]*sl2Line)
-	l.waiting = make(map[mem.Addr][]*coherence.Msg)
+	l.waiting.Reset()
 	l.stalled = nil
-	l.replaying = nil
 	l.hostInv = make(map[mem.Addr]*coherence.Msg)
 	l.ignoreAck = make(map[mem.Addr]map[coherence.NodeID]int)
 }
@@ -201,13 +198,13 @@ func (l *SharedL2) send(m *coherence.Msg) {
 func (l *SharedL2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if _, evicting := l.evictions[addr]; evicting {
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Park(addr, m)
 		return
 	}
 	e := l.cache.Peek(addr)
-	if (e != nil && e.V.txn != nil) || (len(l.waiting[addr]) > 0 && m != l.replaying) {
+	if (e != nil && e.V.txn != nil) || l.waiting.Blocked(addr, m) {
 		// Strict per-line FIFO: nothing may overtake queued requests.
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Park(addr, m)
 		return
 	}
 	if e == nil {
@@ -353,7 +350,7 @@ func (l *SharedL2) handlePut(m *coherence.Msg) {
 			l.send(&coherence.Msg{Type: coherence.XWBAck, Addr: addr, Src: l.id, Dst: m.Src})
 			return
 		}
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Park(addr, m)
 		return
 	}
 	if e.V.owner != m.Src {
@@ -669,21 +666,8 @@ func (l *SharedL2) pop(addr mem.Addr) {
 		l.handleAInv(m)
 		return
 	}
-	q := l.waiting[addr]
-	if len(q) == 0 {
-		return
-	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(l.waiting, addr)
-	} else {
-		l.waiting[addr] = q[1:]
-	}
 	// Process synchronously so no same-tick arrival can cut in front.
-	prev := l.replaying
-	l.replaying = next
-	l.Recv(next)
-	l.replaying = prev
+	l.waiting.Replay(addr, l.Recv)
 }
 
 func (l *SharedL2) replayStalled() {
@@ -700,10 +684,7 @@ func (l *SharedL2) replayStalled() {
 
 // Outstanding reports open transactions and queued work.
 func (l *SharedL2) Outstanding() int {
-	n := len(l.evictions) + len(l.stalled) + len(l.hostInv)
-	for _, q := range l.waiting {
-		n += len(q)
-	}
+	n := len(l.evictions) + len(l.stalled) + len(l.hostInv) + l.waiting.Len()
 	l.cache.Visit(func(e *cacheset.Entry[sl2Line]) {
 		if e.V.txn != nil {
 			n++

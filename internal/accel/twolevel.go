@@ -51,7 +51,7 @@ type InnerL1 struct {
 
 	cache      *cacheset.Cache[innerLine]
 	wb         map[mem.Addr]*innerLine
-	waitingOps map[mem.Addr][]*coherence.Msg
+	waiting    coherence.LineQueue[*coherence.Msg]
 	stalledOps []*coherence.Msg
 
 	// epoch is the guard epoch the hierarchy operates under (0 until the
@@ -69,10 +69,9 @@ func NewInnerL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.
 	l2 coherence.NodeID, cfg Config) *InnerL1 {
 	c := &InnerL1{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2,
-		cache:      cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
-		wb:         make(map[mem.Addr]*innerLine),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
-		Cov:        NewInnerL1Coverage(),
+		cache: cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
+		wb:    make(map[mem.Addr]*innerLine),
+		Cov:   NewInnerL1Coverage(),
 	}
 	fab.Register(c)
 	return c
@@ -128,7 +127,7 @@ func (c *InnerL1) Reset(epoch uint32) {
 	c.epoch = epoch
 	c.cache = cacheset.New[innerLine](c.cfg.L1Sets, c.cfg.L1Ways)
 	c.wb = make(map[mem.Addr]*innerLine)
-	c.waitingOps = make(map[mem.Addr][]*coherence.Msg)
+	c.waiting.Reset()
 	c.stalledOps = nil
 }
 
@@ -142,13 +141,13 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
 		c.Cov.Record("B", opEv(m))
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waiting.Park(line, m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == NB {
 		c.Cov.Record("B", opEv(m))
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waiting.Park(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -282,13 +281,7 @@ func (c *InnerL1) handleInv(m *coherence.Msg) {
 }
 
 func (c *InnerL1) settled(line mem.Addr) {
-	if q := c.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(c.waitingOps, line)
-		} else {
-			c.waitingOps[line] = q[1:]
-		}
+	if next, ok := c.waiting.Pop(line); ok {
 		c.eng.Schedule(0, func() { c.handleCPU(next) })
 	}
 	if len(c.stalledOps) > 0 {
@@ -303,10 +296,7 @@ func (c *InnerL1) settled(line mem.Addr) {
 
 // Outstanding reports open transactions.
 func (c *InnerL1) Outstanding() int {
-	n := len(c.wb) + len(c.stalledOps)
-	for _, q := range c.waitingOps {
-		n += len(q)
-	}
+	n := len(c.wb) + len(c.stalledOps) + c.waiting.Len()
 	c.cache.Visit(func(e *cacheset.Entry[innerLine]) {
 		if e.V.state == NB {
 			n++

@@ -36,7 +36,7 @@ type WeakL1 struct {
 	l2   coherence.NodeID
 
 	cache      *cacheset.Cache[innerLine]
-	waitingOps map[mem.Addr][]*coherence.Msg
+	waiting    coherence.LineQueue[*coherence.Msg]
 	stalledOps []*coherence.Msg
 	flushing   int // outstanding flush writebacks
 	onFlush    func()
@@ -47,8 +47,7 @@ func NewWeakL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.F
 	l2 coherence.NodeID, cfg Config) *WeakL1 {
 	c := &WeakL1{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2,
-		cache:      cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
+		cache: cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
 	}
 	fab.Register(c)
 	return c
@@ -82,7 +81,7 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == NB {
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waiting.Park(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -264,13 +263,7 @@ func (c *WeakL1) respond(op *coherence.Msg, val byte) {
 }
 
 func (c *WeakL1) settledWeak(line mem.Addr) {
-	if q := c.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(c.waitingOps, line)
-		} else {
-			c.waitingOps[line] = q[1:]
-		}
+	if next, ok := c.waiting.Pop(line); ok {
 		c.eng.Schedule(0, func() { c.handleCPU(next) })
 	}
 	if len(c.stalledOps) > 0 {
@@ -285,10 +278,7 @@ func (c *WeakL1) settledWeak(line mem.Addr) {
 
 // Outstanding reports open transactions.
 func (c *WeakL1) Outstanding() int {
-	n := c.flushing + len(c.stalledOps)
-	for _, q := range c.waitingOps {
-		n += len(q)
-	}
+	n := c.flushing + len(c.stalledOps) + c.waiting.Len()
 	c.cache.Visit(func(e *cacheset.Entry[innerLine]) {
 		if e.V.state == NB {
 			n++

@@ -50,9 +50,8 @@ type WeakL2 struct {
 
 	cache     *cacheset.Cache[wkLine]
 	evictions map[mem.Addr]*wkLine
-	waiting   map[mem.Addr][]*coherence.Msg
+	waiting   coherence.LineQueue[*coherence.Msg]
 	stalled   []*coherence.Msg
-	replaying *coherence.Msg
 	hostInv   map[mem.Addr]*coherence.Msg
 }
 
@@ -63,7 +62,6 @@ func NewWeakL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.F
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
 		cache:     cacheset.New[wkLine](cfg.L2Sets, cfg.L2Ways),
 		evictions: make(map[mem.Addr]*wkLine),
-		waiting:   make(map[mem.Addr][]*coherence.Msg),
 		hostInv:   make(map[mem.Addr]*coherence.Msg),
 	}
 	fab.Register(l)
@@ -105,7 +103,7 @@ func (l *WeakL2) send(m *coherence.Msg) { l.fab.Send(m) }
 func (l *WeakL2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if _, ev := l.evictions[addr]; ev {
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Park(addr, m)
 		return
 	}
 	e := l.cache.Peek(addr)
@@ -123,11 +121,11 @@ func (l *WeakL2) handleGet(m *coherence.Msg) {
 			e.V.txn.waiters = append(e.V.txn.waiters, m)
 			return
 		}
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Park(addr, m)
 		return
 	}
-	if len(l.waiting[addr]) > 0 && m != l.replaying {
-		l.waiting[addr] = append(l.waiting[addr], m)
+	if l.waiting.Blocked(addr, m) {
+		l.waiting.Park(addr, m)
 		return
 	}
 	if e == nil {
@@ -390,20 +388,7 @@ func (l *WeakL2) pop(addr mem.Addr) {
 		l.handleAInv(m)
 		return
 	}
-	q := l.waiting[addr]
-	if len(q) == 0 {
-		return
-	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(l.waiting, addr)
-	} else {
-		l.waiting[addr] = q[1:]
-	}
-	prev := l.replaying
-	l.replaying = next
-	l.Recv(next)
-	l.replaying = prev
+	l.waiting.Replay(addr, l.Recv)
 }
 
 func (l *WeakL2) replayStalled() {
@@ -420,10 +405,7 @@ func (l *WeakL2) replayStalled() {
 
 // Outstanding reports open transactions and queued work.
 func (l *WeakL2) Outstanding() int {
-	n := len(l.evictions) + len(l.stalled) + len(l.hostInv)
-	for _, q := range l.waiting {
-		n += len(q)
-	}
+	n := len(l.evictions) + len(l.stalled) + len(l.hostInv) + l.waiting.Len()
 	l.cache.Visit(func(e *cacheset.Entry[wkLine]) {
 		if e.V.txn != nil {
 			n++

@@ -106,8 +106,10 @@ func (s *System) Audit() error {
 		})
 	}
 
-	// 1-3: SWMR + data agreement per line.
-	for addr, hs := range lines {
+	// 1-3: SWMR + data agreement per line, in address order so the
+	// lowest-address violation is the one reported.
+	for _, addr := range mem.AppendSorted(nil, lines) {
+		hs := lines[addr]
 		var owner *holder
 		sharers := 0
 		for i := range hs {
@@ -258,7 +260,7 @@ func (s *System) auditGuardTables(lines map[mem.Addr][]holder) error {
 		if err != nil {
 			return err
 		}
-		for addr := range accelLines {
+		for _, addr := range mem.AppendSorted(nil, accelLines) {
 			if !tableAddrs[addr] {
 				return fmt.Errorf("%s: accelerator holds %v but the guard table does not (inclusion broken)",
 					g.Name(), addr)
@@ -290,7 +292,8 @@ func (s *System) auditInnerHierarchy(grp *innerGroup) error {
 		l2lines[addr] = data
 		owners[addr] = owner
 	})
-	for addr, cs := range claims {
+	for _, addr := range mem.AppendSorted(nil, claims) {
+		cs := claims[addr]
 		if _, ok := l2lines[addr]; !ok {
 			return fmt.Errorf("inner inclusion broken: %v in an inner L1 but not the accel L2", addr)
 		}

@@ -59,7 +59,8 @@ func (s *System) AuditHostOnly() error {
 			}
 		})
 	}
-	for addr, cs := range lines {
+	for _, addr := range mem.AppendSorted(nil, lines) {
+		cs := lines[addr]
 		excl := 0
 		for _, c := range cs {
 			if c.excl {

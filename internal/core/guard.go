@@ -195,6 +195,14 @@ type pendingGrant struct {
 	span uint64
 }
 
+// parkedReq is an accelerator request waiting for its line: a Get behind
+// an open recall, or any request behind the shim's own host transaction.
+// arrive is its original arrival tick (the span request phase start).
+type parkedReq struct {
+	m      *coherence.Msg
+	arrive sim.Time
+}
+
 // Guard is one Crossing Guard instance: the trusted boundary between one
 // accelerator cache hierarchy and the host coherence protocol.
 type Guard struct {
@@ -221,6 +229,10 @@ type Guard struct {
 	// backing array is reused so steady-state batching allocates nothing.
 	pending      []pendingGrant
 	flushPending bool
+
+	// parked holds requests deferred until their line settles; wake
+	// re-runs them once the blocking recall or shim transaction closes.
+	parked coherence.LineQueue[parkedReq]
 
 	// Disabled is set once the error policy shuts the accelerator out.
 	Disabled bool
@@ -602,14 +614,7 @@ func (g *Guard) enterQuarantine(addr mem.Addr) {
 	// timeouts.
 	var open []mem.Addr
 	for i := range g.shards {
-		for a := range g.shards[i].hosts {
-			open = append(open, a)
-		}
-	}
-	for i := 1; i < len(open); i++ {
-		for j := i; j > 0 && open[j] < open[j-1]; j-- {
-			open[j], open[j-1] = open[j-1], open[j]
-		}
+		open = mem.AppendSorted(open, g.shards[i].hosts)
 	}
 	for _, a := range open {
 		sh := g.shard(a)
@@ -654,13 +659,7 @@ func (g *Guard) answerFromTrusted(addr mem.Addr, ht *hostTxn) {
 
 func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 	if g.Quarantined {
-		// Fenced accelerator: refuse service explicitly. Nack rather than
-		// silently drop so a confused-but-live accelerator's transactions
-		// terminate instead of hanging its internal state machine.
-		g.ReqsBlocked++
-		g.obsReg.Counter("guard.quarantine.nacks").Inc()
-		addr := m.Addr.Line()
-		g.after(func() { g.sendToAccel(coherence.ANack, addr, nil, false, 0) })
+		g.nackFenced(m)
 		return
 	}
 	if g.Disabled {
@@ -680,10 +679,31 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 	g.processAccelRequest(m, arrive)
 }
 
+// nackFenced refuses one request from a quarantined accelerator. Nack
+// rather than silently drop so a confused-but-live accelerator's
+// transactions terminate instead of hanging its internal state machine.
+func (g *Guard) nackFenced(m *coherence.Msg) {
+	g.ReqsBlocked++
+	g.obsReg.Counter("guard.quarantine.nacks").Inc()
+	addr := m.Addr.Line()
+	g.after(func() { g.sendToAccel(coherence.ANack, addr, nil, false, 0) })
+}
+
 // processAccelRequest runs the guarantee checks after rate admission.
 // arrive is the request's original arrival tick (kept across rate-limit
 // waits and busy-line deferrals; it anchors the span request phase).
+// A request resumed after a rate-limit wait or a parked wait is checked
+// like a fresh arrival: one from before a device reset is dropped as
+// stale, and a guard quarantined meanwhile nacks it.
 func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
+	if m.Epoch != g.epoch {
+		g.staleEpoch(m)
+		return
+	}
+	if g.Quarantined {
+		g.nackFenced(m)
+		return
+	}
 	if g.Disabled {
 		g.ReqsBlocked++
 		return
@@ -711,12 +731,12 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 		}
 	}
 
-	// Defer requests for lines with an open host-side transaction (e.g.
+	// Park requests for lines with an open host-side transaction (e.g.
 	// a relinquish writeback still in flight): a cache never issues a
 	// Get while its own Put for the line is outstanding.
 	if _, open := sh.txns[addr]; !open {
 		if _, recalling := sh.hosts[addr]; !recalling && g.shim.busy(addr) {
-			g.eng.Schedule(1, func() { g.processAccelRequest(m, arrive) })
+			g.parked.Park(addr, parkedReq{m, arrive})
 			return
 		}
 	}
@@ -729,16 +749,15 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	}
 	// A request racing with an open host recall: only a Put is
 	// meaningful (the legitimate Put/Inv race, §2.1); it resolves the
-	// recall. Gets during a recall are deferred until the recall closes.
+	// recall. Gets during a recall are parked until the recall closes.
 	if ht, open := sh.hosts[addr]; open {
 		switch m.Type {
 		case coherence.APutM, coherence.APutE, coherence.APutS:
 			g.resolveRecallByPut(addr, ht, m)
-			return
 		default:
-			g.eng.Schedule(1, func() { g.processAccelRequest(m, arrive) })
-			return
+			g.parked.Park(addr, parkedReq{m, arrive})
 		}
+		return
 	}
 
 	// Guarantee 1a: request consistent with the stable accelerator
@@ -764,6 +783,25 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	}
 
 	g.forwardRequest(addr, m, access, arrive)
+}
+
+// wake re-runs every request parked on addr once the line's blocking
+// condition has cleared (its recall closed or the shim's host
+// transaction retired): later in the same tick, after the event that
+// cleared it, in park order. That is where a request re-checking its
+// line once per tick would first see it free, since the message that
+// clears a line is scheduled at least one hop before that tick's check.
+// A request still blocked then parks again.
+func (g *Guard) wake(addr mem.Addr) {
+	reqs := g.parked.Take(addr)
+	if len(reqs) == 0 {
+		return
+	}
+	g.eng.Schedule(0, func() {
+		for _, r := range reqs {
+			g.processAccelRequest(r.m, r.arrive)
+		}
+	})
 }
 
 // forwardRequest opens the transaction synchronously (so that racing
@@ -972,9 +1010,10 @@ func (g *Guard) sendToAccel(ty coherence.MsgType, addr mem.Addr, data *mem.Block
 		Epoch: g.epoch, Span: span})
 }
 
-// Outstanding reports open guard transactions (for deadlock detection).
+// Outstanding reports open guard transactions and parked requests (for
+// deadlock detection).
 func (g *Guard) Outstanding() int {
-	n := g.shim.outstanding()
+	n := g.shim.outstanding() + g.parked.Len()
 	for i := range g.shards {
 		n += len(g.shards[i].txns) + len(g.shards[i].hosts)
 	}
@@ -1021,18 +1060,27 @@ func (g *Guard) SetResetHook(fn func(epoch uint32)) { g.resetHook = fn }
 // Mode reports the guard variant.
 func (g *Guard) Mode() Mode { return g.cfg.Mode }
 
-// VisitBlocks reports the Full State block table across every shard
-// (no-op for Transactional guards, which keep no block state).
+// VisitBlocks reports the Full State block table across every shard in
+// ascending address order (no-op for Transactional guards, which keep no
+// block state).
 func (g *Guard) VisitBlocks(fn func(addr mem.Addr, accel, host Grant, hasCopy bool)) {
+	for _, a := range g.tableAddrs() {
+		e := g.shard(a).table.lookup(a)
+		fn(a, e.accel, e.host, e.copy != nil)
+	}
+}
+
+// tableAddrs lists the Full State table's blocks across every shard in
+// ascending address order, so walks over them are deterministic and
+// independent of the shard count.
+func (g *Guard) tableAddrs() []mem.Addr {
+	var addrs []mem.Addr
 	for i := range g.shards {
-		t := g.shards[i].table
-		if t == nil {
-			continue
-		}
-		for a, e := range t.blocks {
-			fn(a, e.accel, e.host, e.copy != nil)
+		if t := g.shards[i].table; t != nil {
+			addrs = mem.AppendSorted(addrs, t.blocks)
 		}
 	}
+	return addrs
 }
 
 // TableEntries reports the Full State table occupancy summed across

@@ -269,6 +269,7 @@ func (g *Guard) closeRecall(addr mem.Addr, ht *hostTxn, reason string) {
 	ht.closed = true
 	ht.gen++ // invalidate any armed watchdog generation
 	delete(g.shard(addr).hosts, addr)
+	g.wake(addr)
 	if g.cfg.Spans && ht.span != 0 {
 		observeSpan(g.mSpanRecall, float64(g.eng.Now()-ht.opened))
 		if ht.retryAt != 0 {

@@ -143,19 +143,7 @@ func (g *Guard) recoveryDrainWait() {
 // Lines are walked in global address order so the drain's message
 // sequence is deterministic and shard-count independent.
 func (g *Guard) recoveryDrainTable() {
-	var addrs []mem.Addr
-	for i := range g.shards {
-		if t := g.shards[i].table; t != nil {
-			for a := range t.blocks {
-				addrs = append(addrs, a)
-			}
-		}
-	}
-	for i := 1; i < len(addrs); i++ {
-		for j := i; j > 0 && addrs[j] < addrs[j-1]; j-- {
-			addrs[j], addrs[j-1] = addrs[j-1], addrs[j]
-		}
-	}
+	addrs := g.tableAddrs()
 	for _, a := range addrs {
 		sh := g.shard(a)
 		e := sh.table.lookup(a)

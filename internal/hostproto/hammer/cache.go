@@ -42,7 +42,7 @@ type Cache struct {
 
 	cache      *cacheset.Cache[cLine]
 	wb         map[mem.Addr]*cLine
-	waitingOps map[mem.Addr][]*coherence.Msg
+	waiting    coherence.LineQueue[*coherence.Msg]
 	stalledOps []*coherence.Msg
 
 	// Cov records (state, event) coverage.
@@ -57,11 +57,10 @@ func NewCache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fa
 	dir coherence.NodeID, responses int, cfg Config, sink coherence.ErrorSink) *Cache {
 	c := &Cache{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, dir: dir, sink: sink,
-		responses:  responses,
-		cache:      cacheset.New[cLine](cfg.Sets, cfg.Ways),
-		wb:         make(map[mem.Addr]*cLine),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
-		Cov:        NewCacheCoverage(),
+		responses: responses,
+		cache:     cacheset.New[cLine](cfg.Sets, cfg.Ways),
+		wb:        make(map[mem.Addr]*cLine),
+		Cov:       NewCacheCoverage(),
 	}
 	fab.Register(c)
 	return c
@@ -136,12 +135,12 @@ func (c *Cache) send(m *coherence.Msg) { c.fab.Send(m) }
 func (c *Cache) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waiting.Park(line, m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && !e.V.state.Stable() {
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waiting.Park(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -463,13 +462,7 @@ func (c *Cache) handleNack(m *coherence.Msg) {
 // --- wakeups, audit ---
 
 func (c *Cache) settled(line mem.Addr) {
-	if q := c.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(c.waitingOps, line)
-		} else {
-			c.waitingOps[line] = q[1:]
-		}
+	if next, ok := c.waiting.Pop(line); ok {
 		c.eng.Schedule(0, func() { c.handleCPU(next) })
 	}
 	if len(c.stalledOps) > 0 {
@@ -484,10 +477,7 @@ func (c *Cache) settled(line mem.Addr) {
 
 // Outstanding reports open transactions.
 func (c *Cache) Outstanding() int {
-	n := len(c.wb) + len(c.stalledOps)
-	for _, q := range c.waitingOps {
-		n += len(q)
-	}
+	n := len(c.wb) + len(c.stalledOps) + c.waiting.Len()
 	c.cache.Visit(func(e *cacheset.Entry[cLine]) {
 		if !e.V.state.Stable() {
 			n++

@@ -41,10 +41,9 @@ type Directory struct {
 	sink  coherence.ErrorSink
 	peers []coherence.NodeID // every cache in the system (including XG)
 
-	memory    *mem.Memory
-	lines     map[mem.Addr]*dirLine
-	waiting   map[mem.Addr][]*coherence.Msg
-	replaying *coherence.Msg // message being replayed from the queue head
+	memory  *mem.Memory
+	lines   map[mem.Addr]*dirLine
+	waiting coherence.LineQueue[*coherence.Msg]
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
@@ -57,10 +56,9 @@ func NewDirectory(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 	memory *mem.Memory, cfg Config, sink coherence.ErrorSink) *Directory {
 	d := &Directory{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink,
-		memory:  memory,
-		lines:   make(map[mem.Addr]*dirLine),
-		waiting: make(map[mem.Addr][]*coherence.Msg),
-		Cov:     NewDirectoryCoverage(),
+		memory: memory,
+		lines:  make(map[mem.Addr]*dirLine),
+		Cov:    NewDirectoryCoverage(),
 	}
 	fab.Register(d)
 	return d
@@ -127,17 +125,17 @@ func (d *Directory) Recv(m *coherence.Msg) {
 	d.Cov.Record(d.stateName(l), evName(m.Type))
 	switch m.Type {
 	case coherence.HGetS, coherence.HGetSOnly, coherence.HGetM:
-		if l.txn != nil || (len(d.waiting[addr]) > 0 && m != d.replaying) {
+		if l.txn != nil || d.waiting.Blocked(addr, m) {
 			// Strict per-line FIFO: nothing may overtake queued requests
 			// (a Get overtaking a queued Put would read stale memory).
-			d.waiting[addr] = append(d.waiting[addr], m)
+			d.waiting.Park(addr, m)
 			return
 		}
 		l.txn = &dirTxn{kind: dirGet, requestor: m.Src}
 		d.eng.Schedule(d.cfg.DirLat, func() { d.broadcast(m) })
 	case coherence.HPut:
-		if l.txn != nil || (len(d.waiting[addr]) > 0 && m != d.replaying) {
-			d.waiting[addr] = append(d.waiting[addr], m)
+		if l.txn != nil || d.waiting.Blocked(addr, m) {
+			d.waiting.Park(addr, m)
 			return
 		}
 		if l.owner != m.Src {
@@ -206,30 +204,13 @@ func (d *Directory) broadcast(m *coherence.Msg) {
 
 func (d *Directory) send(m *coherence.Msg) { d.fab.Send(m) }
 
-func (d *Directory) pop(addr mem.Addr) {
-	q := d.waiting[addr]
-	if len(q) == 0 {
-		return
-	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(d.waiting, addr)
-	} else {
-		d.waiting[addr] = q[1:]
-	}
-	// Process synchronously so no same-tick arrival can cut in front.
-	prev := d.replaying
-	d.replaying = next
-	d.Recv(next)
-	d.replaying = prev
-}
+// pop replays the line's oldest queued request synchronously, so no
+// same-tick arrival can cut in front.
+func (d *Directory) pop(addr mem.Addr) { d.waiting.Replay(addr, d.Recv) }
 
 // Outstanding reports open transactions and queued requests.
 func (d *Directory) Outstanding() int {
-	n := 0
-	for _, q := range d.waiting {
-		n += len(q)
-	}
+	n := d.waiting.Len()
 	for _, l := range d.lines {
 		if l.txn != nil {
 			n++
@@ -249,10 +230,11 @@ func (d *Directory) Owner(addr mem.Addr) coherence.NodeID {
 // Memory exposes the backing store for checkers.
 func (d *Directory) Memory() *mem.Memory { return d.memory }
 
-// VisitOwned reports every line with a recorded owner.
+// VisitOwned reports every line with a recorded owner, in ascending
+// address order.
 func (d *Directory) VisitOwned(fn func(addr mem.Addr, owner coherence.NodeID)) {
-	for a, l := range d.lines {
-		if l.owner != coherence.NodeNone {
+	for _, a := range mem.AppendSorted(nil, d.lines) {
+		if l := d.lines[a]; l.owner != coherence.NodeNone {
 			fn(a, l.owner)
 		}
 	}

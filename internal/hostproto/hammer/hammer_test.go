@@ -1,6 +1,7 @@
 package hammer
 
 import (
+	"strings"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -202,5 +203,32 @@ func TestStressCoverage(t *testing.T) {
 			t.Errorf("%s: unexpected transitions: %v", cov.Name(), cov.Unexpected)
 		}
 		t.Logf("%s", cov.Summary())
+	}
+}
+
+// With several bad lines the audit reports the lowest-address one on
+// every call, whatever the map order.
+func TestAuditReportsLowestBadLine(t *testing.T) {
+	s := NewSystem(2, DefaultConfig(), 1)
+	const base = mem.Addr(0x4000)
+	for i := 0; i < 8; i++ {
+		a := base + mem.Addr(i*mem.BlockBytes)
+		s.Seqs[0].Load(a, nil)
+		s.Seqs[1].Load(a, nil)
+	}
+	run(t, s)
+	low, high := base+2*mem.BlockBytes, base+6*mem.BlockBytes
+	for _, c := range s.Caches {
+		c.VisitStable(func(addr mem.Addr, st CState, data *mem.Block, _ bool) {
+			if st == CS && (addr == low || addr == high) {
+				data[0] ^= 0xee
+			}
+		})
+	}
+	want := "data divergence at " + low.String() + ":"
+	for i := 0; i < 20; i++ {
+		if err := s.Audit(); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("audit %d: %v, want the violation at %v", i, err, low)
+		}
 	}
 }

@@ -94,7 +94,8 @@ func AuditHammer(caches []*Cache, dir *Directory) error {
 			lines[e.Addr] = append(lines[e.Addr], holder{c, e.V.state, e.V.data, e.V.dirty})
 		})
 	}
-	for addr, hs := range lines {
+	for _, addr := range mem.AppendSorted(nil, lines) {
+		hs := lines[addr]
 		var owner *holder
 		exclusive := 0
 		sharers := 0

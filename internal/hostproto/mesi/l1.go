@@ -35,9 +35,9 @@ type L1 struct {
 	// wb holds lines evicted but awaiting a writeback ack (MI_A / II_A);
 	// this models the writeback buffer / MSHR of a real L1.
 	wb map[mem.Addr]*l1Line
-	// waitingOps queues CPU operations that hit a line with an open
+	// waiting queues CPU operations that hit a line with an open
 	// transaction (e.g. an address being written back).
-	waitingOps map[mem.Addr][]*coherence.Msg
+	waiting coherence.LineQueue[*coherence.Msg]
 	// stalledOps holds CPU operations that could not allocate a line
 	// because every way in the set was transient.
 	stalledOps []*coherence.Msg
@@ -51,10 +51,9 @@ func NewL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 	l2 coherence.NodeID, cfg Config, sink coherence.ErrorSink) *L1 {
 	l := &L1{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2, sink: sink,
-		cache:      cacheset.New[l1Line](cfg.L1Sets, cfg.L1Ways),
-		wb:         make(map[mem.Addr]*l1Line),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
-		Cov:        NewL1Coverage(),
+		cache: cacheset.New[l1Line](cfg.L1Sets, cfg.L1Ways),
+		wb:    make(map[mem.Addr]*l1Line),
+		Cov:   NewL1Coverage(),
 	}
 	fab.Register(l)
 	return l
@@ -162,15 +161,14 @@ func (l *L1) lineFor(addr mem.Addr) *l1Line {
 
 func (l *L1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
-	if wl, ok := l.wb[line]; ok {
+	if _, ok := l.wb[line]; ok {
 		// Address is mid-writeback; wait for the WBAck.
-		_ = wl
-		l.waitingOps[line] = append(l.waitingOps[line], m)
+		l.waiting.Park(line, m)
 		return
 	}
 	e := l.cache.Lookup(m.Addr)
 	if e != nil && !e.V.state.Stable() {
-		l.waitingOps[line] = append(l.waitingOps[line], m)
+		l.waiting.Park(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -558,13 +556,7 @@ func (l *L1) drainFwds(e *cacheset.Entry[l1Line]) {
 // settled replays CPU operations blocked on this line and any operations
 // stalled on allocation.
 func (l *L1) settled(line mem.Addr) {
-	if q := l.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(l.waitingOps, line)
-		} else {
-			l.waitingOps[line] = q[1:]
-		}
+	if next, ok := l.waiting.Pop(line); ok {
 		l.eng.Schedule(0, func() { l.handleCPU(next) })
 	}
 	if len(l.stalledOps) > 0 {
@@ -579,10 +571,7 @@ func (l *L1) settled(line mem.Addr) {
 
 // Outstanding reports open transactions (for deadlock detection).
 func (l *L1) Outstanding() int {
-	n := len(l.wb) + len(l.stalledOps)
-	for _, q := range l.waitingOps {
-		n += len(q)
-	}
+	n := len(l.wb) + len(l.stalledOps) + l.waiting.Len()
 	l.cache.Visit(func(e *cacheset.Entry[l1Line]) {
 		if !e.V.state.Stable() {
 			n++

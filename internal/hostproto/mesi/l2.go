@@ -44,11 +44,10 @@ type L2 struct {
 	cfg  Config
 	sink coherence.ErrorSink
 
-	cache     *cacheset.Cache[l2Line]
-	memory    *mem.Memory
-	waiting   map[mem.Addr][]*coherence.Msg
-	stalled   []*coherence.Msg
-	replaying *coherence.Msg // message being replayed from the queue head
+	cache   *cacheset.Cache[l2Line]
+	memory  *mem.Memory
+	waiting coherence.LineQueue[*coherence.Msg]
+	stalled []*coherence.Msg
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
@@ -61,10 +60,9 @@ func NewL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 	memory *mem.Memory, cfg Config, sink coherence.ErrorSink) *L2 {
 	l := &L2{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink,
-		cache:   cacheset.New[l2Line](cfg.L2Sets, cfg.L2Ways),
-		memory:  memory,
-		waiting: make(map[mem.Addr][]*coherence.Msg),
-		Cov:     NewL2Coverage(),
+		cache:  cacheset.New[l2Line](cfg.L2Sets, cfg.L2Ways),
+		memory: memory,
+		Cov:    NewL2Coverage(),
 	}
 	fab.Register(l)
 	return l
@@ -142,9 +140,9 @@ func (l *L2) after(d sim.Time, fn func()) { l.eng.Schedule(d, fn) }
 func (l *L2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if (e != nil && e.V.txn != nil) || (len(l.waiting[addr]) > 0 && m != l.replaying) {
+	if (e != nil && e.V.txn != nil) || l.waiting.Blocked(addr, m) {
 		// Strict per-line FIFO: nothing may overtake queued requests.
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Park(addr, m)
 		return
 	}
 	if e == nil {
@@ -269,8 +267,8 @@ func (l *L2) handlePut(m *coherence.Msg) {
 		l.popWaiting(addr)
 		return
 	}
-	if t := e.V.txn; t == nil && len(l.waiting[addr]) > 0 && m != l.replaying {
-		l.waiting[addr] = append(l.waiting[addr], m)
+	if t := e.V.txn; t == nil && l.waiting.Blocked(addr, m) {
+		l.waiting.Park(addr, m)
 		return
 	} else if t != nil {
 		switch {
@@ -288,7 +286,7 @@ func (l *L2) handlePut(m *coherence.Msg) {
 			l.ackPut(m)
 			l.maybeFinishRecall(addr, e)
 		default:
-			l.waiting[addr] = append(l.waiting[addr], m)
+			l.waiting.Park(addr, m)
 		}
 		return
 	}
@@ -454,23 +452,9 @@ func (l *L2) maybeFinishRecall(addr mem.Addr, e *cacheset.Entry[l2Line]) {
 
 // --- wakeups ---
 
-func (l *L2) popWaiting(addr mem.Addr) {
-	q := l.waiting[addr]
-	if len(q) == 0 {
-		return
-	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(l.waiting, addr)
-	} else {
-		l.waiting[addr] = q[1:]
-	}
-	// Process synchronously so no same-tick arrival can cut in front.
-	prev := l.replaying
-	l.replaying = next
-	l.Recv(next)
-	l.replaying = prev
-}
+// popWaiting replays the line's oldest queued request synchronously, so
+// no same-tick arrival can cut in front.
+func (l *L2) popWaiting(addr mem.Addr) { l.waiting.Replay(addr, l.Recv) }
 
 func (l *L2) replayStalled() {
 	if len(l.stalled) == 0 {
@@ -486,10 +470,7 @@ func (l *L2) replayStalled() {
 
 // Outstanding reports open transactions and queued work.
 func (l *L2) Outstanding() int {
-	n := len(l.stalled)
-	for _, q := range l.waiting {
-		n += len(q)
-	}
+	n := len(l.stalled) + l.waiting.Len()
 	l.cache.Visit(func(e *cacheset.Entry[l2Line]) {
 		if e.V.txn != nil {
 			n++

@@ -95,7 +95,8 @@ func AuditMESI(l1s []*L1, l2 *L2, memory *mem.Memory) error {
 			lines[e.Addr] = append(lines[e.Addr], holder{l1, e.V.state, e.V.data, e.V.dirty})
 		})
 	}
-	for addr, hs := range lines {
+	for _, addr := range mem.AppendSorted(nil, lines) {
+		hs := lines[addr]
 		present, owner, _, l2data, l2dirty := l2.AuditLine(addr)
 		if !present {
 			return fmt.Errorf("inclusion violated: %v held by an L1 but absent from L2", addr)

@@ -6,7 +6,10 @@
 // verify end-to-end value correctness, not just protocol liveness.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 const (
 	// BlockBytes is the host coherence granularity (the paper uses 64 B).
@@ -15,8 +18,6 @@ const (
 	BlockShift = 6
 	// PageBytes is the page granularity used for permissions (4 KiB).
 	PageBytes = 4096
-	// PageShift is log2(PageBytes).
-	PageShift = 12
 )
 
 // Addr is a physical byte address.
@@ -33,6 +34,18 @@ func (a Addr) Page() Addr { return a &^ (PageBytes - 1) }
 
 // String renders the address in hex.
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
+
+// AppendSorted appends m's addresses to dst and sorts dst ascending, so
+// a walk over a per-line map — a checker looking for the first bad line,
+// a drain sending one message per line — runs in address order instead
+// of Go's randomized map order.
+func AppendSorted[V any](dst []Addr, m map[Addr]V) []Addr {
+	for a := range m {
+		dst = append(dst, a)
+	}
+	slices.Sort(dst)
+	return dst
+}
 
 // Block is one cache line of data. Blocks are passed by pointer in
 // messages; a component that hands a block to another must Copy it first

@@ -137,24 +137,6 @@ func StressShardRecorded(seed int64) (ticks, memops uint64, err error) {
 	return uint64(res.EndTime), res.Stores + res.Loads, nil
 }
 
-// StressShardMulti runs the two-accelerator variant of StressShard: two
-// devices, each behind its own guard with 4-way address-sharded state,
-// hammering the same random address pool through one MESI host. Every
-// ownership migration between the devices crosses both guards, so this
-// is the multi-accelerator stress number xgbench reports alongside the
-// single-accelerator one (which it must not perturb).
-func StressShardMulti(seed int64) (ticks, memops uint64, err error) {
-	sys := config.Build(config.Spec{Host: config.HostMESI, Org: config.OrgXGFull1L,
-		CPUs: 2, AccelCores: 1, Accels: 2, Shards: 4, Seed: seed, Small: true})
-	cfg := tester.DefaultConfig(seed*37 + 5)
-	cfg.StoresPerLoc = 20
-	res, err := tester.Run(sys, cfg)
-	if err != nil {
-		return 0, 0, fmt.Errorf("perfbench: multi-accel stress shard: %w", err)
-	}
-	return uint64(res.EndTime), res.Stores + res.Loads, nil
-}
-
 // WorkloadShard runs one E5-style blocked-access workload and returns
 // the simulated ticks and modeled accelerator cycles.
 func WorkloadShard(seed int64) (ticks, cycles uint64, err error) {

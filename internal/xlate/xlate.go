@@ -57,7 +57,7 @@ type WideAccel struct {
 
 	cache      *cacheset.Cache[wideLine]
 	wb         map[mem.Addr]int // wide evictions: outstanding WBAcks
-	waitingOps map[mem.Addr][]*coherence.Msg
+	waiting    coherence.LineQueue[*coherence.Msg]
 	stalledOps []*coherence.Msg
 
 	// Merges counts wide fills assembled from sub-blocks; Splits counts
@@ -76,9 +76,8 @@ func NewWideAccel(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 	xg coherence.NodeID, sets, ways int) *WideAccel {
 	w := &WideAccel{
 		id: id, name: name, eng: eng, fab: fab, xg: xg,
-		cache:      cacheset.New[wideLine](sets, ways),
-		wb:         make(map[mem.Addr]int),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
+		cache: cacheset.New[wideLine](sets, ways),
+		wb:    make(map[mem.Addr]int),
 	}
 	fab.Register(w)
 	return w
@@ -135,12 +134,12 @@ func (w *WideAccel) send(ty coherence.MsgType, addr mem.Addr, data *mem.Block, d
 func (w *WideAccel) handleCPU(m *coherence.Msg) {
 	wa := wideAddr(m.Addr)
 	if _, busy := w.wb[wa]; busy {
-		w.waitingOps[wa] = append(w.waitingOps[wa], m)
+		w.waiting.Park(wa, m)
 		return
 	}
 	e := w.cache.Lookup(wa)
 	if e != nil && e.V.busy {
-		w.waitingOps[wa] = append(w.waitingOps[wa], m)
+		w.waiting.Park(wa, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -348,13 +347,7 @@ func (w *WideAccel) respond(op *coherence.Msg, val byte) {
 }
 
 func (w *WideAccel) settled(wa mem.Addr) {
-	if q := w.waitingOps[wa]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(w.waitingOps, wa)
-		} else {
-			w.waitingOps[wa] = q[1:]
-		}
+	if next, ok := w.waiting.Pop(wa); ok {
 		w.eng.Schedule(0, func() { w.handleCPU(next) })
 	}
 	if len(w.stalledOps) > 0 {
@@ -369,10 +362,7 @@ func (w *WideAccel) settled(wa mem.Addr) {
 
 // Outstanding reports open transactions.
 func (w *WideAccel) Outstanding() int {
-	n := len(w.wb) + len(w.stalledOps)
-	for _, q := range w.waitingOps {
-		n += len(q)
-	}
+	n := len(w.wb) + len(w.stalledOps) + w.waiting.Len()
 	w.cache.Visit(func(e *cacheset.Entry[wideLine]) {
 		if e.V.busy {
 			n++
