@@ -460,7 +460,7 @@ func renderStates(w io.Writer, s obs.Snapshot) {
 			continue
 		}
 		if !any {
-			fmt.Fprintln(w, "host state-transition counts (events observed per resulting state)")
+			fmt.Fprintln(w, "host state-transition counts (events observed per originating state)")
 			any = true
 		}
 		sort.Slice(rows, func(i, j int) bool { return rows[i].state < rows[j].state })

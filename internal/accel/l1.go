@@ -63,14 +63,18 @@ func NewL1Cache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.
 	return c
 }
 
-// NewTable1Coverage declares exactly the transitions of paper Table 1.
-func NewTable1Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("accel.L1")
+// table1 is the accel.L1 class table: its declaration set IS paper
+// Table 1.
+var table1 = func() *coherence.Table {
+	t := coherence.NewTable("accel.L1", aStateNames[:]...)
 	for _, p := range Table1Pairs() {
-		cov.Declare(p[0], p[1])
+		t.Declare(p[0], p[1])
 	}
-	return cov
-}
+	return t
+}()
+
+// NewTable1Coverage declares exactly the transitions of paper Table 1.
+func NewTable1Coverage() *coherence.Coverage { return table1.New() }
 
 // Table1Pairs returns the (state, event) pairs paper Table 1 defines
 // (every cell that is not "impossible").
@@ -167,19 +171,19 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
 		// Table 1: B stalls loads, stores, and replacements.
-		c.Cov.Record("B", opEv(m))
+		c.Cov.Record(int(AB), opEv(m))
 		c.waiting.Park(line, m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == AB {
-		c.Cov.Record("B", opEv(m))
+		c.Cov.Record(int(AB), opEv(m))
 		c.waiting.Park(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
-		c.Cov.Record("I", opEv(m))
+		c.Cov.Record(int(AI), opEv(m))
 		e = c.allocate(m)
 		if e == nil {
 			return
@@ -196,7 +200,7 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 		return
 	}
 	st := e.V.state
-	c.Cov.Record(st.String(), opEv(m))
+	c.Cov.Record(int(st), opEv(m))
 	switch {
 	case !isStore: // Load hit in M/E/S.
 		c.respond(m, e.V.data[m.Addr.Offset()])
@@ -234,7 +238,7 @@ func (c *L1Cache) allocate(m *coherence.Msg) *cacheset.Entry[aLine] {
 // evict issues the replacement row of Table 1: PutM from M, PutE from E,
 // PutS from S — Put data rides along (no multi-phase commit).
 func (c *L1Cache) evict(addr mem.Addr, v *aLine) {
-	c.Cov.Record(v.state.String(), evReplacement)
+	c.Cov.Record(int(v.state), coherence.EvReplacement)
 	var ty coherence.MsgType
 	var data *mem.Block
 	switch v.state {
@@ -273,7 +277,7 @@ func (c *L1Cache) handleData(m *coherence.Msg) {
 	if e == nil || e.V.state != AB || e.V.op == nil {
 		panic(fmt.Sprintf("%s: data %v with no pending get", c.name, m))
 	}
-	c.Cov.Record("B", evName(m.Type))
+	c.Cov.RecordMsg(int(AB), m.Type)
 	st := AS
 	switch m.Type {
 	case coherence.ADataM:
@@ -311,7 +315,7 @@ func (c *L1Cache) handleWBAck(m *coherence.Msg) {
 	if _, ok := c.wb[line]; !ok {
 		panic(fmt.Sprintf("%s: WBAck with no writeback: %v", c.name, m))
 	}
-	c.Cov.Record("B", evName(m.Type))
+	c.Cov.RecordMsg(int(AB), m.Type)
 	delete(c.wb, line)
 	c.settled(line)
 }
@@ -323,17 +327,17 @@ func (c *L1Cache) handleInv(m *coherence.Msg) {
 		// B (put outstanding): send InvAck, take no further action;
 		// Crossing Guard resolves the Put/Inv race.
 		_ = wl
-		c.Cov.Record("B", evName(m.Type))
+		c.Cov.RecordMsg(int(AB), m.Type)
 		c.sendToXG(coherence.AInvAck, line, nil, false)
 		return
 	}
 	e := c.cache.Peek(m.Addr)
 	if e == nil {
-		c.Cov.Record("I", evName(m.Type))
+		c.Cov.RecordMsg(int(AI), m.Type)
 		c.sendToXG(coherence.AInvAck, line, nil, false)
 		return
 	}
-	c.Cov.Record(e.V.state.String(), evName(m.Type))
+	c.Cov.RecordMsg(int(e.V.state), m.Type)
 	switch e.V.state {
 	case AM:
 		c.sendToXG(coherence.ADirtyWB, line, e.V.data.Copy(), true)
@@ -391,14 +395,12 @@ func (c *L1Cache) AuditLine(addr mem.Addr) (present bool, st AState, data *mem.B
 	return true, e.V.state, e.V.data
 }
 
-func opEv(m *coherence.Msg) string {
+func opEv(m *coherence.Msg) int {
 	if m.Type == coherence.ReqStore {
-		return evStore
+		return coherence.EvStore
 	}
-	return evLoad
+	return coherence.EvLoad
 }
-
-func evName(t coherence.MsgType) string { return t.String() }
 
 // VisitStable reports every stable valid line for invariant checks.
 func (c *L1Cache) VisitStable(fn func(addr mem.Addr, st AState, data *mem.Block)) {

@@ -92,16 +92,23 @@ func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network
 	return l
 }
 
-// NewSharedL2Coverage declares reachable (state, event) pairs.
-func NewSharedL2Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("accel2L.L2")
-	cov.DeclareAll(
-		[]string{"NP", "I", "S", "E", "M", "I+busy", "S+busy", "E+busy", "M+busy", "NP+busy"},
+// sl2States are the accel2L.L2 coverage states: NP (no entry), then the
+// grant level held from the guard (I/S/E/M) without and with an open
+// transaction, indexed by covState.
+var sl2States = []string{"NP", "I", "S", "E", "M", "I+busy", "S+busy", "E+busy", "M+busy", "NP+busy"}
+
+// sharedL2Table is the accel2L.L2 class table.
+var sharedL2Table = func() *coherence.Table {
+	t := coherence.NewTable("accel2L.L2", sl2States...)
+	t.DeclareAll(sl2States,
 		[]string{"X:GetS", "X:GetM", "X:PutM", "X:PutS", "X:InvAck", "X:InvWB",
 			"A:DataS", "A:DataE", "A:DataM", "A:WBAck", "A:Inv"},
 	)
-	return cov
-}
+	return t
+}()
+
+// NewSharedL2Coverage declares reachable (state, event) pairs.
+func NewSharedL2Coverage() *coherence.Coverage { return sharedL2Table.New() }
 
 // ID implements coherence.Controller.
 func (l *SharedL2) ID() coherence.NodeID { return l.id }
@@ -109,13 +116,14 @@ func (l *SharedL2) ID() coherence.NodeID { return l.id }
 // Name implements coherence.Controller.
 func (l *SharedL2) Name() string { return l.name }
 
-func (l *SharedL2) stateName(e *cacheset.Entry[sl2Line]) string {
+// covState returns the index in sl2States of the line held in e.
+func (l *SharedL2) covState(e *cacheset.Entry[sl2Line]) int {
 	if e == nil {
-		return "NP"
+		return 0
 	}
-	s := e.V.host.String()
+	s := 1 + int(e.V.host)
 	if e.V.txn != nil {
-		s += "+busy"
+		s += 4
 	}
 	return s
 }
@@ -129,7 +137,7 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 		return
 	}
 	e := l.cache.Peek(m.Addr)
-	l.Cov.Record(l.stateName(e), evName(m.Type))
+	l.Cov.RecordMsg(l.covState(e), m.Type)
 	switch m.Type {
 	case coherence.XGetS, coherence.XGetM:
 		l.handleGet(m)

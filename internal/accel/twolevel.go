@@ -32,7 +32,9 @@ const (
 )
 
 // String returns the one-letter inner-protocol state name.
-func (s InnerState) String() string { return [...]string{"I", "S", "M", "B"}[s] }
+func (s InnerState) String() string { return innerStateNames[s] }
+
+var innerStateNames = [...]string{NI: "I", NS: "S", NM: "M", NB: "B"}
 
 type innerLine struct {
 	state InnerState
@@ -77,13 +79,16 @@ func NewInnerL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.
 	return c
 }
 
-// NewInnerL1Coverage declares reachable (state, event) pairs.
-func NewInnerL1Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("accel2L.L1")
-	cov.DeclareAll([]string{"I", "S", "M", "B"},
+// innerL1Table is the accel2L.L1 class table.
+var innerL1Table = func() *coherence.Table {
+	t := coherence.NewTable("accel2L.L1", innerStateNames[:]...)
+	t.DeclareAll(innerStateNames[:],
 		[]string{evLoad, evStore, evReplacement, "X:Inv", "X:DataS", "X:DataM", "X:WBAck"})
-	return cov
-}
+	return t
+}()
+
+// NewInnerL1Coverage declares reachable (state, event) pairs.
+func NewInnerL1Coverage() *coherence.Coverage { return innerL1Table.New() }
 
 // ID implements coherence.Controller.
 func (c *InnerL1) ID() coherence.NodeID { return c.id }
@@ -140,19 +145,19 @@ func (c *InnerL1) send(m *coherence.Msg) {
 func (c *InnerL1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
-		c.Cov.Record("B", opEv(m))
+		c.Cov.Record(int(NB), opEv(m))
 		c.waiting.Park(line, m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == NB {
-		c.Cov.Record("B", opEv(m))
+		c.Cov.Record(int(NB), opEv(m))
 		c.waiting.Park(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
-		c.Cov.Record("I", opEv(m))
+		c.Cov.Record(int(NI), opEv(m))
 		var victim *cacheset.Entry[innerLine]
 		var ok bool
 		e, victim, ok = c.cache.Allocate(m.Addr, func(e *cacheset.Entry[innerLine]) bool {
@@ -173,7 +178,7 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 		c.send(&coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.l2})
 		return
 	}
-	c.Cov.Record(e.V.state.String(), opEv(m))
+	c.Cov.Record(int(e.V.state), opEv(m))
 	switch {
 	case !isStore:
 		c.respond(m, e.V.data[m.Addr.Offset()])
@@ -188,7 +193,7 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 }
 
 func (c *InnerL1) evict(addr mem.Addr, v *innerLine) {
-	c.Cov.Record(v.state.String(), evReplacement)
+	c.Cov.Record(int(v.state), coherence.EvReplacement)
 	switch v.state {
 	case NM:
 		c.wb[addr] = &innerLine{state: NB, data: v.data}
@@ -217,7 +222,7 @@ func (c *InnerL1) handleData(m *coherence.Msg) {
 	if e == nil || e.V.state != NB || e.V.op == nil {
 		panic(fmt.Sprintf("%s: data with no pending get: %v", c.name, m))
 	}
-	c.Cov.Record("B", evName(m.Type))
+	c.Cov.RecordMsg(int(NB), m.Type)
 	op := e.V.op
 	e.V.op = nil
 	e.V.data = m.Data.Copy()
@@ -243,7 +248,7 @@ func (c *InnerL1) handleWBAck(m *coherence.Msg) {
 	if _, ok := c.wb[line]; !ok {
 		panic(fmt.Sprintf("%s: WBAck with no writeback", c.name))
 	}
-	c.Cov.Record("B", evName(m.Type))
+	c.Cov.RecordMsg(int(NB), m.Type)
 	delete(c.wb, line)
 	c.settled(line)
 }
@@ -253,7 +258,7 @@ func (c *InnerL1) handleInv(m *coherence.Msg) {
 	if _, busy := c.wb[line]; busy {
 		// Our PutM crossed the L2's Inv; the L2 absorbs the Put as the
 		// response and ignores this ack.
-		c.Cov.Record("B", evName(m.Type))
+		c.Cov.RecordMsg(int(NB), m.Type)
 		c.send(&coherence.Msg{Type: coherence.XInvAck, Addr: line, Src: c.id, Dst: c.l2})
 		return
 	}
@@ -262,7 +267,7 @@ func (c *InnerL1) handleInv(m *coherence.Msg) {
 	if e != nil {
 		st = e.V.state
 	}
-	c.Cov.Record(st.String(), evName(m.Type))
+	c.Cov.RecordMsg(int(st), m.Type)
 	switch st {
 	case NM:
 		c.send(&coherence.Msg{Type: coherence.XInvWB, Addr: line, Src: c.id, Dst: c.l2,

@@ -85,14 +85,15 @@ func TestMsgString(t *testing.T) {
 }
 
 func TestCoverageDeclareRecord(t *testing.T) {
-	c := NewCoverage("L1")
-	c.DeclareAll([]string{"I", "S"}, []string{"Load", "Inv"})
+	tab := NewTable("L1", "I", "S")
+	tab.DeclareAll([]string{"I", "S"}, []string{"Load", "Inv"})
+	c := tab.New()
 	if c.Possible() != 4 {
 		t.Fatalf("Possible = %d", c.Possible())
 	}
-	c.Record("I", "Load")
-	c.Record("I", "Load")
-	c.Record("S", "Inv")
+	c.RecordName("I", "Load")
+	c.RecordName("I", "Load")
+	c.RecordName("S", "Inv")
 	if c.Visited() != 2 || c.Visits() != 3 {
 		t.Fatalf("Visited=%d Visits=%d", c.Visited(), c.Visits())
 	}
@@ -103,7 +104,7 @@ func TestCoverageDeclareRecord(t *testing.T) {
 	if len(c.Unexpected) != 0 {
 		t.Fatalf("Unexpected = %v", c.Unexpected)
 	}
-	c.Record("M", "Load") // undeclared
+	c.RecordName("M", "Load") // undeclared
 	if len(c.Unexpected) != 1 || c.Unexpected[0] != "M/Load" {
 		t.Fatalf("Unexpected = %v", c.Unexpected)
 	}
@@ -112,10 +113,10 @@ func TestCoverageDeclareRecord(t *testing.T) {
 func TestCoverageMerge(t *testing.T) {
 	a := NewCoverage("L1")
 	a.Declare("I", "Load")
-	a.Record("I", "Load")
+	a.RecordName("I", "Load")
 	b := NewCoverage("L1")
-	b.Record("I", "Load")
-	b.Record("S", "Inv")
+	b.RecordName("I", "Load")
+	b.RecordName("S", "Inv")
 	a.Merge(b)
 	if a.Visits() != 3 || a.Visited() != 2 {
 		t.Fatalf("after merge: Visits=%d Visited=%d", a.Visits(), a.Visited())
@@ -124,7 +125,7 @@ func TestCoverageMerge(t *testing.T) {
 
 func TestCoverageSummaryNoDeclared(t *testing.T) {
 	c := NewCoverage("x")
-	c.Record("I", "Load")
+	c.RecordName("I", "Load")
 	if !strings.Contains(c.Summary(), "1 pairs visited") {
 		t.Errorf("Summary = %q", c.Summary())
 	}

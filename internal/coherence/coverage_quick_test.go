@@ -55,7 +55,7 @@ func (s covSpec) build() *Coverage {
 	for p, n := range s.Visits {
 		state, event := splitPair(p)
 		for i := uint64(0); i < n; i++ {
-			c.Record(state, event)
+			c.RecordName(state, event)
 		}
 	}
 	// Unexpected entries are injected directly: they model visits a
@@ -86,8 +86,10 @@ type fingerprint struct {
 
 func fp(c *Coverage) fingerprint {
 	f := fingerprint{Visits: c.Snapshot(), Summary: c.Summary()}
-	for k := range c.declared {
-		f.Declared = append(f.Declared, k)
+	for i, ok := range c.tab.declared {
+		if ok {
+			f.Declared = append(f.Declared, c.tab.pairName(i))
+		}
 	}
 	sort.Strings(f.Declared)
 	f.Unexpected = append(f.Unexpected, c.Unexpected...)

@@ -486,7 +486,7 @@ func (s *System) guardCfg(spec Spec, lat Latencies) core.Config {
 func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 	cfg := s.hammerCfg(spec.Small, txnMods)
 	s.HDir = hammer.NewDirectory(nodeHost, "hammer.dir", s.Eng, s.Fab, s.Mem, cfg, s.Log)
-	s.HDir.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.dir")
+	s.countStates(s.HDir.Cov)
 	s.outstandingFns = append(s.outstandingFns, s.HDir.Outstanding)
 
 	// Count the caches that will participate in broadcasts (each
@@ -507,7 +507,7 @@ func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 	for i := 0; i < spec.CPUs; i++ {
 		c := hammer.NewCache(nodeCPU+coherence.NodeID(i), fmt.Sprintf("hammer.C[%d]", i),
 			s.Eng, s.Fab, nodeHost, responses, cfg, s.Log)
-		c.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.cache")
+		s.countStates(c.Cov)
 		s.HCaches = append(s.HCaches, c)
 		s.HDir.AddPeer(c.ID())
 		s.outstandingFns = append(s.outstandingFns, c.Outstanding)
@@ -529,7 +529,7 @@ func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 				id := devID(d, nodeAccel, i)
 				c := hammer.NewCache(id, devName(d, fmt.Sprintf("hammer.A[%d]", i)),
 					s.Eng, s.Fab, nodeHost, responses, acfg, s.Log)
-				c.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.cache")
+				s.countStates(c.Cov)
 				s.AccelHCaches = append(s.AccelHCaches, c)
 				s.HDir.AddPeer(c.ID())
 				s.outstandingFns = append(s.outstandingFns, c.Outstanding)
@@ -604,16 +604,26 @@ func (s *System) attachAccelL1(spec Spec, lat Latencies, g *core.Guard, acID, xg
 	})
 }
 
+// countStates makes cov also count its transitions by originating state
+// under "<class>.state.<S>" in the system's registry.
+func (s *System) countStates(cov *coherence.Coverage) {
+	if s.Obs == nil {
+		return
+	}
+	prefix := cov.Name() + ".state."
+	cov.CountStates(func(state string) coherence.Counter { return s.Obs.Counter(prefix + state) })
+}
+
 func (s *System) buildMESI(spec Spec, lat Latencies, txnMods bool) {
 	cfg := s.mesiCfg(spec.Small, txnMods)
 	s.ML2 = mesi.NewL2(nodeHost, "mesi.L2", s.Eng, s.Fab, s.Mem, cfg, s.Log)
-	s.ML2.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L2")
+	s.countStates(s.ML2.Cov)
 	s.outstandingFns = append(s.outstandingFns, s.ML2.Outstanding)
 
 	for i := 0; i < spec.CPUs; i++ {
 		l1 := mesi.NewL1(nodeCPU+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i),
 			s.Eng, s.Fab, nodeHost, cfg, s.Log)
-		l1.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L1")
+		s.countStates(l1.Cov)
 		s.ML1s = append(s.ML1s, l1)
 		s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
 		sq := seq.New(nodeCPUSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), s.Eng, s.Fab, l1.ID())
@@ -627,7 +637,7 @@ func (s *System) buildMESI(spec Spec, lat Latencies, txnMods bool) {
 			for i := 0; i < spec.AccelCores; i++ {
 				id := devID(d, nodeAccel, i)
 				l1 := mesi.NewL1(id, devName(d, fmt.Sprintf("mesi.A[%d]", i)), s.Eng, s.Fab, nodeHost, cfg, s.Log)
-				l1.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L1")
+				s.countStates(l1.Cov)
 				s.AccelMCaches = append(s.AccelMCaches, l1)
 				s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
 				sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, id)

@@ -51,20 +51,6 @@ func hasEpoch(recs []Rec) bool {
 	return false
 }
 
-// WriteLog writes recs as one xgobs log, every line tagged with the
-// given shard index — v3 when any record carries a nonzero guard epoch,
-// v2 otherwise. Records are written in the order given (callers pass
-// Recorder.Merged() or another canonical order).
-func WriteLog(w io.Writer, shard int, recs []Rec) error {
-	bw := bufio.NewWriter(w)
-	v3 := hasEpoch(recs)
-	writeHeader(bw, v3)
-	if err := writeShard(bw, shard, recs, v3); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 func writeHeader(w io.Writer, v3 bool) {
 	if v3 {
 		fmt.Fprintln(w, logHeaderV3)
@@ -75,9 +61,8 @@ func writeHeader(w io.Writer, v3 bool) {
 	}
 }
 
-// writeShard appends record lines without a header (the multi-shard
-// exporter in the campaign package writes one header then appends every
-// shard in index order).
+// writeShard appends record lines without a header (LogWriter writes
+// one header then appends every shard in the order added).
 func writeShard(w io.Writer, shard int, recs []Rec, v3 bool) error {
 	for _, r := range recs {
 		var err error

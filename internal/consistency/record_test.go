@@ -110,24 +110,39 @@ func TestLogRoundTrip(t *testing.T) {
 	cpu.Record(OpStore, 0x10100, 0xd1, sim.Time(2), sim.Time(209))
 	cpu.Record(OpVerify, 0x10100, 0xd1, sim.Time(250), sim.Time(300))
 	acc.Record(OpLoad, 0x10140, 0x00, sim.Time(5), sim.Time(80))
-	recs := r.Merged()
+	v2 := r.Merged()
+	// A record from after a device reset carries its guard epoch, which
+	// selects the v3 format.
+	v3 := append(append([]Rec(nil), v2...), Rec{Accel: 1, Epoch: 2, Core: 1, Op: OpLoad, Addr: 0x10140, Issued: 400, Done: 480})
 
-	var buf bytes.Buffer
-	if err := WriteLog(&buf, 3, recs); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), logHeader+"\n"+logColumns+"\n") {
-		t.Fatalf("log missing header:\n%s", buf.String())
-	}
-	shards, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 1 || shards[0].Shard != 3 {
-		t.Fatalf("round trip shards = %+v", shards)
-	}
-	if !reflect.DeepEqual(shards[0].Recs, recs) {
-		t.Fatalf("round trip lost records:\n%v\nvs\n%v", shards[0].Recs, recs)
+	for _, tc := range []struct {
+		name, header string
+		recs         []Rec
+	}{
+		{"v2", logHeader + "\n" + logColumns + "\n", v2},
+		{"v3", logHeaderV3 + "\n" + logColumnsV3 + "\n", v3},
+	} {
+		var buf bytes.Buffer
+		lw := NewLogWriter(&buf)
+		if err := lw.Add(3, tc.recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := lw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(buf.String(), tc.header) {
+			t.Fatalf("%s: log missing header:\n%s", tc.name, buf.String())
+		}
+		shards, err := ReadLog(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) != 1 || shards[0].Shard != 3 {
+			t.Fatalf("%s: round trip shards = %+v", tc.name, shards)
+		}
+		if !reflect.DeepEqual(shards[0].Recs, tc.recs) {
+			t.Fatalf("%s: round trip lost records:\n%v\nvs\n%v", tc.name, shards[0].Recs, tc.recs)
+		}
 	}
 }
 

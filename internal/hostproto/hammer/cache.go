@@ -66,9 +66,9 @@ func NewCache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fa
 	return c
 }
 
-// NewCacheCoverage declares reachable (state, event) pairs.
-func NewCacheCoverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("hammer.cache")
+// cacheTable is the hammer.cache class table.
+var cacheTable = func() *coherence.Table {
+	t := coherence.NewTable("hammer.cache", cStateNames[:]...)
 	type pe struct{ s, e string }
 	var pairs []pe
 	for _, s := range []string{"I", "S", "E", "O", "M"} {
@@ -88,10 +88,13 @@ func NewCacheCoverage() *coherence.Coverage {
 	}
 	pairs = append(pairs, pe{"II", "H:Nack"}, pe{"II", "H:WBAck"})
 	for _, p := range pairs {
-		cov.Declare(p.s, p.e)
+		t.Declare(p.s, p.e)
 	}
-	return cov
-}
+	return t
+}()
+
+// NewCacheCoverage declares reachable (state, event) pairs.
+func NewCacheCoverage() *coherence.Coverage { return cacheTable.New() }
 
 // ID implements coherence.Controller.
 func (c *Cache) ID() coherence.NodeID { return c.id }
@@ -144,12 +147,12 @@ func (c *Cache) handleCPU(m *coherence.Msg) {
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
-	ev := evLoad
+	ev := coherence.EvLoad
 	if isStore {
-		ev = evStore
+		ev = coherence.EvStore
 	}
 	if e == nil {
-		c.Cov.Record("I", ev)
+		c.Cov.Record(int(CI), ev)
 		e = c.allocate(m)
 		if e == nil {
 			return
@@ -162,7 +165,7 @@ func (c *Cache) handleCPU(m *coherence.Msg) {
 		return
 	}
 	st := e.V.state
-	c.Cov.Record(st.String(), ev)
+	c.Cov.Record(int(st), ev)
 	switch {
 	case !isStore: // load hit in S/E/O/M
 		c.respond(m, e.V.data[m.Addr.Offset()])
@@ -210,7 +213,7 @@ func (c *Cache) allocate(m *coherence.Msg) *cacheset.Entry[cLine] {
 }
 
 func (c *Cache) evict(addr mem.Addr, v *cLine) {
-	c.Cov.Record(v.state.String(), evReplacement)
+	c.Cov.Record(int(v.state), coherence.EvReplacement)
 	switch v.state {
 	case CS:
 		// Hammer allows silent eviction of shared blocks.
@@ -250,7 +253,7 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 	} else {
 		st = CI
 	}
-	c.Cov.Record(st.String(), evName(m.Type))
+	c.Cov.RecordMsg(int(st), m.Type)
 
 	getM := m.Type == coherence.HFwdGetM
 	if st.owned() {
@@ -307,7 +310,7 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 		c.protocolError(st.String(), m)
 		return
 	}
-	c.Cov.Record(st.String(), evName(m.Type))
+	c.Cov.RecordMsg(int(st), m.Type)
 	switch m.Type {
 	case coherence.HData:
 		e.V.dataCount++
@@ -399,7 +402,7 @@ func (c *Cache) handleWBAck(m *coherence.Msg) {
 		c.protocolError("I", m)
 		return
 	}
-	c.Cov.Record(wl.state.String(), evName(m.Type))
+	c.Cov.RecordMsg(int(wl.state), m.Type)
 	switch wl.state {
 	case CMI, COI, CEI:
 		c.send(&coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.id, Dst: c.dir,
@@ -422,7 +425,7 @@ func (c *Cache) handleWBAck(m *coherence.Msg) {
 func (c *Cache) handleNack(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if wl, ok := c.wb[line]; ok {
-		c.Cov.Record(wl.state.String(), evName(m.Type))
+		c.Cov.RecordMsg(int(wl.state), m.Type)
 		if wl.state == CII {
 			// Normal race resolution: ownership moved while our Put was
 			// queued; the data already went to the new owner.
@@ -446,17 +449,17 @@ func (c *Cache) handleNack(m *coherence.Msg) {
 	}
 	// Paper §3.2.1: host caches must sink unexpected Nacks and raise an
 	// error instead of crashing.
-	st := "I"
+	st := CI
 	if e := c.cache.Peek(m.Addr); e != nil {
-		st = e.V.state.String()
+		st = e.V.state
 	}
-	c.Cov.Record(st, evName(m.Type))
+	c.Cov.RecordMsg(int(st), m.Type)
 	if !c.cfg.TxnMods {
 		panic(fmt.Sprintf("%s: unexpected Nack in state %s for %v", c.name, st, line))
 	}
 	c.NacksSunk++
 	c.sink.ReportError(coherence.ProtocolError{Where: c.name,
-		Code: "HOST.UnexpectedNack", Addr: line, Detail: "Nack sunk in state " + st})
+		Code: "HOST.UnexpectedNack", Addr: line, Detail: "Nack sunk in state " + st.String()})
 }
 
 // --- wakeups, audit ---

@@ -64,15 +64,20 @@ func NewDirectory(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 	return d
 }
 
-// NewDirectoryCoverage declares reachable (state, event) pairs.
-func NewDirectoryCoverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("hammer.dir")
-	cov.DeclareAll(
-		[]string{"Unowned", "Owned", "Unowned+busy", "Owned+busy"},
+// dirStates are the hammer.dir coverage states, indexed by covState.
+var dirStates = []string{"Unowned", "Owned", "Unowned+busy", "Owned+busy"}
+
+// dirTable is the hammer.dir class table.
+var dirTable = func() *coherence.Table {
+	t := coherence.NewTable("hammer.dir", dirStates...)
+	t.DeclareAll(dirStates,
 		[]string{"H:GetS", "H:GetSOnly", "H:GetM", "H:Put", "H:WBData", "H:Unblock"},
 	)
-	return cov
-}
+	return t
+}()
+
+// NewDirectoryCoverage declares reachable (state, event) pairs.
+func NewDirectoryCoverage() *coherence.Coverage { return dirTable.New() }
 
 // AddPeer registers a cache for broadcast. Call once per cache before
 // simulation starts.
@@ -96,16 +101,19 @@ func (d *Directory) lineFor(addr mem.Addr) *dirLine {
 	return l
 }
 
-func (d *Directory) stateName(l *dirLine) string {
-	s := "Unowned"
+// covState returns the index in dirStates of line l.
+func (d *Directory) covState(l *dirLine) int {
+	s := 0
 	if l.owner != coherence.NodeNone {
-		s = "Owned"
+		s = 1
 	}
 	if l.txn != nil {
-		s += "+busy"
+		s += 2
 	}
 	return s
 }
+
+func (d *Directory) stateName(l *dirLine) string { return dirStates[d.covState(l)] }
 
 func (d *Directory) protocolError(state string, m *coherence.Msg) {
 	if d.cfg.TxnMods {
@@ -122,7 +130,7 @@ func (d *Directory) protocolError(state string, m *coherence.Msg) {
 func (d *Directory) Recv(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	l := d.lineFor(addr)
-	d.Cov.Record(d.stateName(l), evName(m.Type))
+	d.Cov.RecordMsg(d.covState(l), m.Type)
 	switch m.Type {
 	case coherence.HGetS, coherence.HGetSOnly, coherence.HGetM:
 		if l.txn != nil || d.waiting.Blocked(addr, m) {

@@ -18,10 +18,7 @@
 //     Nacks, and requestors count responses rather than acks (TxnMods).
 package hammer
 
-import (
-	"crossingguard/internal/coherence"
-	"crossingguard/internal/sim"
-)
+import "crossingguard/internal/sim"
 
 // CState is the per-line state of a private cache.
 type CState int
@@ -95,8 +92,6 @@ const (
 	evStore       = "Store"
 	evReplacement = "Replacement"
 )
-
-func evName(t coherence.MsgType) string { return t.String() }
 
 // StateInventory reports the cache's stable and transient state names,
 // for the protocol-complexity comparison (experiment E2).

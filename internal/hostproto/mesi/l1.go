@@ -63,8 +63,11 @@ func NewL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 // an L1, mirroring the paper's coverage accounting (§4.1). Pairs that are
 // declared but never visited are reported, not failed; visiting an
 // undeclared pair is flagged as unexpected.
-func NewL1Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("mesi.L1")
+func NewL1Coverage() *coherence.Coverage { return l1Table.New() }
+
+// l1Table is the mesi.L1 class table.
+var l1Table = func() *coherence.Table {
+	t := coherence.NewTable("mesi.L1", l1StateNames[:]...)
 	type pe struct{ s, e string }
 	pairs := []pe{
 		// CPU events.
@@ -99,10 +102,10 @@ func NewL1Coverage() *coherence.Coverage {
 		{"SM_A", "M:FwdGetS"}, {"SM_A", "M:FwdGetM"},
 	}
 	for _, p := range pairs {
-		cov.Declare(p.s, p.e)
+		t.Declare(p.s, p.e)
 	}
-	return cov
-}
+	return t
+}()
 
 // ID implements coherence.Controller.
 func (l *L1) ID() coherence.NodeID { return l.id }
@@ -141,7 +144,7 @@ func (l *L1) protocolError(state string, m *coherence.Msg) {
 }
 
 func (l *L1) unexpected(state string, m *coherence.Msg) {
-	l.Cov.Record(state, evName(m.Type))
+	l.Cov.RecordName(state, m.Type.String())
 	l.protocolError(state, m)
 }
 
@@ -172,12 +175,12 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
-	ev := evLoad
+	ev := coherence.EvLoad
 	if isStore {
-		ev = evStore
+		ev = coherence.EvStore
 	}
 	if e == nil {
-		l.Cov.Record("I", ev)
+		l.Cov.Record(int(L1I), ev)
 		e = l.allocate(m)
 		if e == nil {
 			return // stalled; will be replayed
@@ -195,7 +198,7 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 		return
 	}
 	st := e.V.state
-	l.Cov.Record(st.String(), ev)
+	l.Cov.Record(int(st), ev)
 	switch {
 	case !isStore: // load hit in S/E/M
 		l.respond(m, e.V.data[m.Addr.Offset()])
@@ -235,7 +238,7 @@ func (l *L1) allocate(m *coherence.Msg) *cacheset.Entry[l1Line] {
 
 // evict starts replacement of a stable victim line.
 func (l *L1) evict(addr mem.Addr, v *l1Line) {
-	l.Cov.Record(v.state.String(), evReplacement)
+	l.Cov.Record(int(v.state), coherence.EvReplacement)
 	switch v.state {
 	case L1S:
 		// Exact sharer tracking: notify the L2, fire-and-forget.
@@ -283,7 +286,7 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 			l.unexpected("I", m)
 			return
 		}
-		l.Cov.Record(wl.state.String(), evName(m.Type))
+		l.Cov.RecordMsg(int(wl.state), m.Type)
 		delete(l.wb, line)
 		l.settled(line)
 		return
@@ -294,7 +297,7 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 		return
 	}
 	st := e.V.state
-	l.Cov.Record(st.String(), evName(m.Type))
+	l.Cov.RecordMsg(int(st), m.Type)
 	switch st {
 	case L1ISd:
 		switch m.Type {
@@ -423,7 +426,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 	if e != nil {
 		st = e.V.state
 	}
-	l.Cov.Record(st.String(), evName(m.Type))
+	l.Cov.RecordMsg(int(st), m.Type)
 	switch m.Type {
 	case coherence.MInv:
 		switch st {
@@ -501,7 +504,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 // hostReqOnWB handles host requests that race with an outstanding
 // writeback (the line lives in the writeback buffer).
 func (l *L1) hostReqOnWB(line mem.Addr, wl *l1Line, m *coherence.Msg) {
-	l.Cov.Record(wl.state.String(), evName(m.Type))
+	l.Cov.RecordMsg(int(wl.state), m.Type)
 	switch m.Type {
 	case coherence.MFwdGetS:
 		if wl.state != L1MIa {

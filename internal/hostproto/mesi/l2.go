@@ -68,17 +68,22 @@ func NewL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 	return l
 }
 
-// NewL2Coverage declares reachable (state, event) pairs for the L2.
-func NewL2Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("mesi.L2")
-	states := []string{"NP", "SS", "MT", "SS+busy", "MT+busy"}
-	events := []string{
+// l2States are the mesi.L2 coverage states: NP (no entry), then each
+// L2State without and with an open transaction, indexed by covState.
+var l2States = []string{"NP", "SS", "MT", "SS+busy", "MT+busy"}
+
+// l2Table is the mesi.L2 class table.
+var l2Table = func() *coherence.Table {
+	t := coherence.NewTable("mesi.L2", l2States...)
+	t.DeclareAll(l2States, []string{
 		"M:GetS", "M:GetM", "M:GetInstr", "M:PutM", "M:PutS",
 		"M:Unblock", "M:CopyToL2", "M:InvAckToL2",
-	}
-	cov.DeclareAll(states, events)
-	return cov
-}
+	})
+	return t
+}()
+
+// NewL2Coverage declares reachable (state, event) pairs for the L2.
+func NewL2Coverage() *coherence.Coverage { return l2Table.New() }
 
 // ID implements coherence.Controller.
 func (l *L2) ID() coherence.NodeID { return l.id }
@@ -86,16 +91,19 @@ func (l *L2) ID() coherence.NodeID { return l.id }
 // Name implements coherence.Controller.
 func (l *L2) Name() string { return l.name }
 
-func (l *L2) stateName(e *cacheset.Entry[l2Line]) string {
+// covState returns the index in l2States of the line held in e.
+func (l *L2) covState(e *cacheset.Entry[l2Line]) int {
 	if e == nil {
-		return "NP"
+		return 0
 	}
-	s := e.V.state.String()
+	s := 1 + int(e.V.state)
 	if e.V.txn != nil {
-		s += "+busy"
+		s += 2
 	}
 	return s
 }
+
+func (l *L2) stateName(e *cacheset.Entry[l2Line]) string { return l2States[l.covState(e)] }
 
 func (l *L2) protocolError(state string, m *coherence.Msg) {
 	if l.cfg.TxnMods {
@@ -111,7 +119,7 @@ func (l *L2) protocolError(state string, m *coherence.Msg) {
 // Recv implements coherence.Controller.
 func (l *L2) Recv(m *coherence.Msg) {
 	e := l.cache.Peek(m.Addr)
-	l.Cov.Record(l.stateName(e), evName(m.Type))
+	l.Cov.RecordMsg(l.covState(e), m.Type)
 	switch m.Type {
 	case coherence.MGetS, coherence.MGetM, coherence.MGetInstr:
 		l.handleGet(m)

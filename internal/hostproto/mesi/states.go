@@ -15,10 +15,7 @@
 //     forwards an unexpected writeback (enabled via Config.TxnMods).
 package mesi
 
-import (
-	"crossingguard/internal/coherence"
-	"crossingguard/internal/sim"
-)
+import "crossingguard/internal/sim"
 
 // L1State is the per-line state of a private L1.
 type L1State int
@@ -124,8 +121,6 @@ const (
 	evStore       = "Store"
 	evReplacement = "Replacement"
 )
-
-func evName(t coherence.MsgType) string { return t.String() }
 
 // StateInventory reports the L1's stable and transient state names, for
 // the protocol-complexity comparison (paper §2.4 / experiment E2).

@@ -201,25 +201,6 @@ func (r *Registry) Merge(other *Registry) {
 	}
 }
 
-// StateRecorder adapts a Registry to coherence.Coverage's OnRecord hook:
-// it counts protocol transitions per originating controller state under
-// "<prefix>.state.<state>". The per-state counters are cached, so steady
-// state is one map lookup per transition, no allocation.
-func StateRecorder(r *Registry, prefix string) func(state, event string) {
-	if r == nil {
-		return nil
-	}
-	byState := make(map[string]*Counter)
-	return func(state, event string) {
-		c, ok := byState[state]
-		if !ok {
-			c = r.Counter(prefix + ".state." + state)
-			byState[state] = c
-		}
-		c.Inc()
-	}
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -114,23 +114,6 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestStateRecorder(t *testing.T) {
-	r := NewRegistry()
-	rec := StateRecorder(r, "hammer.cache")
-	rec("M", "H:FwdGetS")
-	rec("M", "H:FwdGetM")
-	rec("I", "Load")
-	if got := r.Counter("hammer.cache.state.M").Value(); got != 2 {
-		t.Fatalf("state.M = %d, want 2", got)
-	}
-	if got := r.Counter("hammer.cache.state.I").Value(); got != 1 {
-		t.Fatalf("state.I = %d, want 1", got)
-	}
-	if StateRecorder(nil, "x") != nil {
-		t.Fatalf("nil registry must yield a nil recorder")
-	}
-}
-
 func TestSnapshotEmptyHistogram(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("empty")

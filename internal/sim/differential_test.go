@@ -144,11 +144,11 @@ func TestPoppedEventReleased(t *testing.T) {
 func TestScheduleEventOrdering(t *testing.T) {
 	e := sim.NewEngine()
 	var order []int
-	tev := sim.NewTimed(func() { order = append(order, 1) })
+	tev := &sim.Timed{Fn: func() { order = append(order, 1) }}
 	e.Schedule(5, func() { order = append(order, 0) })
 	e.ScheduleEvent(5, tev)
 	e.Schedule(5, func() { order = append(order, 2) })
-	e.ScheduleEventAt(3, sim.NewTimed(func() { order = append(order, -1) }))
+	e.ScheduleEventAt(3, &sim.Timed{Fn: func() { order = append(order, -1) }})
 	e.RunUntilQuiet()
 	want := []int{-1, 0, 1, 2}
 	for i := range want {
@@ -164,12 +164,12 @@ func TestScheduleEventReuse(t *testing.T) {
 	e := sim.NewEngine()
 	n := 0
 	var tev *sim.Timed
-	tev = sim.NewTimed(func() {
+	tev = &sim.Timed{Fn: func() {
 		n++
 		if n < 100 {
 			e.ScheduleEvent(2, tev)
 		}
-	})
+	}}
 	e.ScheduleEvent(1, tev)
 	e.RunUntilQuiet()
 	if n != 100 {
@@ -188,7 +188,7 @@ func TestScheduleEventNilPanics(t *testing.T) {
 		"past": func(e *sim.Engine) {
 			e.Schedule(5, func() {})
 			e.RunUntilQuiet()
-			e.ScheduleEventAt(1, sim.NewTimed(func() {}))
+			e.ScheduleEventAt(1, &sim.Timed{Fn: func() {}})
 		},
 	} {
 		func() {

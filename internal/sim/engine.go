@@ -125,9 +125,6 @@ type Timed struct {
 	Fn func()
 }
 
-// NewTimed returns a Timed bound to fn.
-func NewTimed(fn func()) *Timed { return &Timed{Fn: fn} }
-
 // Engine is a deterministic discrete-event scheduler.
 //
 // The zero value is ready to use.

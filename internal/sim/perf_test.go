@@ -40,7 +40,7 @@ func TestScheduleEventAllocFree(t *testing.T) {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
 	e := sim.NewEngine()
-	tev := sim.NewTimed(func() {})
+	tev := &sim.Timed{Fn: func() {}}
 	for i := 0; i < 256; i++ {
 		e.ScheduleEvent(sim.Time(i%7), tev)
 	}
