@@ -126,19 +126,20 @@ func benchEngineScheduleSteady(b *testing.B) {
 }
 
 // benchFabricSend mirrors internal/network's BenchmarkFabricSend: one
-// steady-state Send plus its delivery per op.
+// steady-state Send plus its delivery per op, each op sending a fresh
+// message literal as every controller does, so the 0 allocs/op gate
+// pins by-value sends rather than the reuse of one message.
 func benchFabricSend(b *testing.B) {
 	eng := sim.NewEngine()
 	f := network.NewFabric(eng, 1, network.Config{Latency: 2, Ordered: true})
 	f.Register(&nopCtrl{id: 1})
 	f.Register(&nopCtrl{id: 2})
-	m := &coherence.Msg{Type: coherence.AGetS, Addr: 0x1000, Src: 1, Dst: 2}
-	f.Send(m)
+	f.Send(&coherence.Msg{Type: coherence.AGetS, Addr: 0x1000, Src: 1, Dst: 2})
 	eng.RunUntilQuiet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Send(m)
+		f.Send(&coherence.Msg{Type: coherence.AGetS, Addr: 0x1000, Src: 1, Dst: 2, Tag: uint64(i)})
 		eng.RunUntilQuiet()
 	}
 }

@@ -7,17 +7,16 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/sim"
 )
 
 // aLine is the payload of one accelerator L1 line.
 type aLine struct {
 	state AState
 	data  *mem.Block
-	// fromGet records what the outstanding request was (B has a single
+	// op records what the outstanding request was (B has a single
 	// name but, as the paper notes for host protocols too, transients
-	// may carry extra information).
-	op *coherence.Msg
+	// may carry extra information); MsgInvalid when none.
+	op coherence.Msg
 }
 
 // L1Cache is the single-level accelerator cache of paper Table 1:
@@ -26,15 +25,16 @@ type aLine struct {
 type L1Cache struct {
 	id   coherence.NodeID
 	name string
-	eng  *sim.Engine
 	fab  *network.Fabric
 	cfg  Config
 	xg   coherence.NodeID // the Crossing Guard endpoint
 
 	cache      *cacheset.Cache[aLine]
 	wb         map[mem.Addr]*aLine // put-origin B entries
-	waiting    coherence.LineQueue[*coherence.Msg]
-	stalledOps []*coherence.Msg
+	waiting    coherence.LineQueue[coherence.Msg]
+	stalledOps []coherence.Msg
+	// handleCPUFn is c.handleCPU bound once, for fabric.After replays.
+	handleCPUFn func(*coherence.Msg)
 
 	// epoch is the guard epoch this cache operates under (0 until the
 	// first device reset). Guard messages from another epoch are
@@ -51,14 +51,15 @@ type L1Cache struct {
 }
 
 // NewL1Cache builds and registers a Table 1 accelerator cache.
-func NewL1Cache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+func NewL1Cache(id coherence.NodeID, name string, fab *network.Fabric,
 	xg coherence.NodeID, cfg Config) *L1Cache {
 	c := &L1Cache{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
+		id: id, name: name, fab: fab, cfg: cfg, xg: xg,
 		cache: cacheset.New[aLine](cfg.L1Sets, cfg.L1Ways),
 		wb:    make(map[mem.Addr]*aLine),
 		Cov:   NewTable1Coverage(),
 	}
+	c.handleCPUFn = c.handleCPU
 	fab.Register(c)
 	return c
 }
@@ -172,13 +173,13 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 	if _, busy := c.wb[line]; busy {
 		// Table 1: B stalls loads, stores, and replacements.
 		c.Cov.Record(int(AB), opEv(m))
-		c.waiting.Park(line, m)
+		c.waiting.Park(line, *m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == AB {
 		c.Cov.Record(int(AB), opEv(m))
-		c.waiting.Park(line, m)
+		c.waiting.Park(line, *m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -195,7 +196,7 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 			ty = coherence.AGetM
 		}
 		e.V.state = AB
-		e.V.op = m
+		e.V.op = *m
 		c.send(&coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.xg, Epoch: c.epoch})
 		return
 	}
@@ -215,7 +216,7 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 	case st == AS:
 		// S + Store -> issue GetM / B.
 		e.V.state = AB
-		e.V.op = m
+		e.V.op = *m
 		c.send(&coherence.Msg{Type: coherence.AGetM, Addr: line, Src: c.id, Dst: c.xg, Epoch: c.epoch})
 	}
 }
@@ -225,7 +226,7 @@ func (c *L1Cache) allocate(m *coherence.Msg) *cacheset.Entry[aLine] {
 		return e.V.state.Stable()
 	})
 	if !ok {
-		c.stalledOps = append(c.stalledOps, m)
+		c.stalledOps = append(c.stalledOps, *m)
 		return nil
 	}
 	if victim != nil {
@@ -259,22 +260,17 @@ func (c *L1Cache) evict(addr mem.Addr, v *aLine) {
 		Dirty: ty == coherence.APutM, Epoch: c.epoch})
 }
 
+// respond completes a core operation after the hit latency.
 func (c *L1Cache) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	c.eng.Schedule(c.cfg.HitLat, func() {
-		c.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	r := op.Completion(c.id, val)
+	c.fab.SendAfter(c.cfg.HitLat, &r)
 }
 
 // --- Crossing Guard side ---
 
 func (c *L1Cache) handleData(m *coherence.Msg) {
 	e := c.cache.Peek(m.Addr)
-	if e == nil || e.V.state != AB || e.V.op == nil {
+	if e == nil || e.V.state != AB || e.V.op.Type == coherence.MsgInvalid {
 		panic(fmt.Sprintf("%s: data %v with no pending get", c.name, m))
 	}
 	c.Cov.RecordMsg(int(AB), m.Type)
@@ -292,7 +288,7 @@ func (c *L1Cache) handleData(m *coherence.Msg) {
 	op := e.V.op
 	e.V.state = st
 	e.V.data = m.Data.Copy()
-	e.V.op = nil
+	e.V.op = coherence.Msg{}
 	if op.Type == coherence.ReqStore {
 		if st == AS {
 			// DataS answered our GetM? The interface forbids it; only a
@@ -303,9 +299,9 @@ func (c *L1Cache) handleData(m *coherence.Msg) {
 			e.V.state = AM
 		}
 		e.V.data[op.Addr.Offset()] = op.Val
-		c.respond(op, 0)
+		c.respond(&op, 0)
 	} else {
-		c.respond(op, e.V.data[op.Addr.Offset()])
+		c.respond(&op, e.V.data[op.Addr.Offset()])
 	}
 	c.settled(m.Addr.Line())
 }
@@ -363,16 +359,12 @@ func (c *L1Cache) sendToXG(ty coherence.MsgType, line mem.Addr, data *mem.Block,
 
 func (c *L1Cache) settled(line mem.Addr) {
 	if next, ok := c.waiting.Pop(line); ok {
-		c.eng.Schedule(0, func() { c.handleCPU(next) })
+		c.fab.After(0, &next, c.handleCPUFn)
 	}
-	if len(c.stalledOps) > 0 {
-		stalled := c.stalledOps
-		c.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			c.eng.Schedule(0, func() { c.handleCPU(op) })
-		}
+	for i := range c.stalledOps {
+		c.fab.After(0, &c.stalledOps[i], c.handleCPUFn)
 	}
+	c.stalledOps = c.stalledOps[:0]
 }
 
 // Outstanding reports open transactions.

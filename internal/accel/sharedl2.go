@@ -7,7 +7,6 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/sim"
 )
 
 // sl2TxnKind labels open transactions at the shared accelerator L2.
@@ -46,21 +45,23 @@ type sl2Line struct {
 type SharedL2 struct {
 	id   coherence.NodeID
 	name string
-	eng  *sim.Engine
 	fab  *network.Fabric
 	cfg  Config
 	xg   coherence.NodeID
 
 	cache     *cacheset.Cache[sl2Line]
 	evictions map[mem.Addr]*sl2Line // writebacks to the guard awaiting WBAck
-	waiting   coherence.LineQueue[*coherence.Msg]
-	stalled   []*coherence.Msg
-	// hostInv holds a guard Invalidate that arrived during a local
-	// transaction; it is serviced with priority as soon as the line goes
-	// idle, ahead of queued requests (whose own guard Gets may be
-	// deferred until this very Invalidate is answered).
+	waiting   coherence.LineQueue[coherence.Msg]
+	stalled   []coherence.Msg
+	// hostInv holds (a copy of) a guard Invalidate that arrived during a
+	// local transaction; it is serviced with priority as soon as the
+	// line goes idle, ahead of queued requests (whose own guard Gets may
+	// be deferred until this very Invalidate is answered).
 	hostInv   map[mem.Addr]*coherence.Msg
 	ignoreAck map[mem.Addr]map[coherence.NodeID]int
+	// recvFn and serveFn are l.Recv and l.serve bound once, for
+	// fabric.After.
+	recvFn, serveFn func(*coherence.Msg)
 
 	Cov *coherence.Coverage
 	// LocalSharing counts data requests satisfied without crossing to
@@ -78,16 +79,17 @@ type SharedL2 struct {
 }
 
 // NewSharedL2 builds and registers the shared accelerator L2.
-func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+func NewSharedL2(id coherence.NodeID, name string, fab *network.Fabric,
 	xg coherence.NodeID, cfg Config) *SharedL2 {
 	l := &SharedL2{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
+		id: id, name: name, fab: fab, cfg: cfg, xg: xg,
 		cache:     cacheset.New[sl2Line](cfg.L2Sets, cfg.L2Ways),
 		evictions: make(map[mem.Addr]*sl2Line),
 		hostInv:   make(map[mem.Addr]*coherence.Msg),
 		ignoreAck: make(map[mem.Addr]map[coherence.NodeID]int),
 		Cov:       NewSharedL2Coverage(),
 	}
+	l.recvFn, l.serveFn = l.Recv, l.serve
 	fab.Register(l)
 	return l
 }
@@ -206,20 +208,20 @@ func (l *SharedL2) send(m *coherence.Msg) {
 func (l *SharedL2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if _, evicting := l.evictions[addr]; evicting {
-		l.waiting.Park(addr, m)
+		l.waiting.Park(addr, *m)
 		return
 	}
 	e := l.cache.Peek(addr)
 	if (e != nil && e.V.txn != nil) || l.waiting.Blocked(addr, m) {
 		// Strict per-line FIFO: nothing may overtake queued requests.
-		l.waiting.Park(addr, m)
+		l.waiting.Park(addr, *m)
 		return
 	}
 	if e == nil {
 		l.missFetch(m)
 		return
 	}
-	l.eng.Schedule(l.cfg.L2Lat, func() { l.serve(m) })
+	l.fab.After(l.cfg.L2Lat, m, l.serveFn)
 	e.V.txn = &sl2Txn{kind: sl2LocalInv, requestor: m.Src, wait: map[coherence.NodeID]bool{}}
 }
 
@@ -232,7 +234,7 @@ func (l *SharedL2) missFetch(m *coherence.Msg) {
 	})
 	if !ok {
 		l.startLocalRecallInSet(addr)
-		l.stalled = append(l.stalled, m)
+		l.stalled = append(l.stalled, *m)
 		return
 	}
 	if victim != nil {
@@ -253,7 +255,7 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
 	if e == nil || e.V.txn == nil {
-		l.eng.Schedule(0, func() { l.Recv(m) })
+		l.fab.After(0, m, l.recvFn)
 		return
 	}
 	t := e.V.txn
@@ -358,7 +360,7 @@ func (l *SharedL2) handlePut(m *coherence.Msg) {
 			l.send(&coherence.Msg{Type: coherence.XWBAck, Addr: addr, Src: l.id, Dst: m.Src})
 			return
 		}
-		l.waiting.Park(addr, m)
+		l.waiting.Park(addr, *m)
 		return
 	}
 	if e.V.owner != m.Src {
@@ -548,7 +550,7 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 			if l.hostInv[addr] != nil {
 				panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 			}
-			l.hostInv[addr] = m
+			l.hostInv[addr] = m.Clone()
 		}
 		return
 	}
@@ -679,15 +681,10 @@ func (l *SharedL2) pop(addr mem.Addr) {
 }
 
 func (l *SharedL2) replayStalled() {
-	if len(l.stalled) == 0 {
-		return
+	for i := range l.stalled {
+		l.fab.After(0, &l.stalled[i], l.recvFn)
 	}
-	stalled := l.stalled
-	l.stalled = nil
-	for _, m := range stalled {
-		m := m
-		l.eng.Schedule(0, func() { l.Recv(m) })
-	}
+	l.stalled = l.stalled[:0]
 }
 
 // Outstanding reports open transactions and queued work.

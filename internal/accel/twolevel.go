@@ -7,7 +7,6 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/sim"
 )
 
 // The two-level accelerator hierarchy of paper Figure 2d: private MSI L1s
@@ -39,22 +38,23 @@ var innerStateNames = [...]string{NI: "I", NS: "S", NM: "M", NB: "B"}
 type innerLine struct {
 	state InnerState
 	data  *mem.Block
-	op    *coherence.Msg
+	op    coherence.Msg // core operation of the outstanding Get (MsgInvalid when none)
 }
 
 // InnerL1 is one accelerator core's private L1 in the two-level design.
 type InnerL1 struct {
 	id   coherence.NodeID
 	name string
-	eng  *sim.Engine
 	fab  *network.Fabric
 	cfg  Config
 	l2   coherence.NodeID
 
 	cache      *cacheset.Cache[innerLine]
 	wb         map[mem.Addr]*innerLine
-	waiting    coherence.LineQueue[*coherence.Msg]
-	stalledOps []*coherence.Msg
+	waiting    coherence.LineQueue[coherence.Msg]
+	stalledOps []coherence.Msg
+	// handleCPUFn is c.handleCPU bound once, for fabric.After replays.
+	handleCPUFn func(*coherence.Msg)
 
 	// epoch is the guard epoch the hierarchy operates under (0 until the
 	// first device reset); stamped on every protocol send, checked on
@@ -67,14 +67,15 @@ type InnerL1 struct {
 }
 
 // NewInnerL1 builds and registers a private accelerator L1.
-func NewInnerL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+func NewInnerL1(id coherence.NodeID, name string, fab *network.Fabric,
 	l2 coherence.NodeID, cfg Config) *InnerL1 {
 	c := &InnerL1{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2,
+		id: id, name: name, fab: fab, cfg: cfg, l2: l2,
 		cache: cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
 		wb:    make(map[mem.Addr]*innerLine),
 		Cov:   NewInnerL1Coverage(),
 	}
+	c.handleCPUFn = c.handleCPU
 	fab.Register(c)
 	return c
 }
@@ -146,13 +147,13 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
 		c.Cov.Record(int(NB), opEv(m))
-		c.waiting.Park(line, m)
+		c.waiting.Park(line, *m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == NB {
 		c.Cov.Record(int(NB), opEv(m))
-		c.waiting.Park(line, m)
+		c.waiting.Park(line, *m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -164,7 +165,7 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 			return e.V.state != NB
 		})
 		if !ok {
-			c.stalledOps = append(c.stalledOps, m)
+			c.stalledOps = append(c.stalledOps, *m)
 			return
 		}
 		if victim != nil {
@@ -174,7 +175,7 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 		if isStore {
 			ty = coherence.XGetM
 		}
-		e.V = innerLine{state: NB, op: m}
+		e.V = innerLine{state: NB, op: *m}
 		c.send(&coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.l2})
 		return
 	}
@@ -187,7 +188,7 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 		c.respond(m, 0)
 	default: // store to S: upgrade
 		e.V.state = NB
-		e.V.op = m
+		e.V.op = *m
 		c.send(&coherence.Msg{Type: coherence.XGetM, Addr: line, Src: c.id, Dst: c.l2})
 	}
 }
@@ -206,25 +207,20 @@ func (c *InnerL1) evict(addr mem.Addr, v *innerLine) {
 	}
 }
 
+// respond completes a core operation after the hit latency.
 func (c *InnerL1) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	c.eng.Schedule(c.cfg.HitLat, func() {
-		c.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	r := op.Completion(c.id, val)
+	c.fab.SendAfter(c.cfg.HitLat, &r)
 }
 
 func (c *InnerL1) handleData(m *coherence.Msg) {
 	e := c.cache.Peek(m.Addr)
-	if e == nil || e.V.state != NB || e.V.op == nil {
+	if e == nil || e.V.state != NB || e.V.op.Type == coherence.MsgInvalid {
 		panic(fmt.Sprintf("%s: data with no pending get: %v", c.name, m))
 	}
 	c.Cov.RecordMsg(int(NB), m.Type)
 	op := e.V.op
-	e.V.op = nil
+	e.V.op = coherence.Msg{}
 	e.V.data = m.Data.Copy()
 	if m.Type == coherence.XDataM {
 		e.V.state = NM
@@ -236,9 +232,9 @@ func (c *InnerL1) handleData(m *coherence.Msg) {
 			panic(fmt.Sprintf("%s: DataS answered a store at %v", c.name, m.Addr))
 		}
 		e.V.data[op.Addr.Offset()] = op.Val
-		c.respond(op, 0)
+		c.respond(&op, 0)
 	} else {
-		c.respond(op, e.V.data[op.Addr.Offset()])
+		c.respond(&op, e.V.data[op.Addr.Offset()])
 	}
 	c.settled(m.Addr.Line())
 }
@@ -287,16 +283,12 @@ func (c *InnerL1) handleInv(m *coherence.Msg) {
 
 func (c *InnerL1) settled(line mem.Addr) {
 	if next, ok := c.waiting.Pop(line); ok {
-		c.eng.Schedule(0, func() { c.handleCPU(next) })
+		c.fab.After(0, &next, c.handleCPUFn)
 	}
-	if len(c.stalledOps) > 0 {
-		stalled := c.stalledOps
-		c.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			c.eng.Schedule(0, func() { c.handleCPU(op) })
-		}
+	for i := range c.stalledOps {
+		c.fab.After(0, &c.stalledOps[i], c.handleCPUFn)
 	}
+	c.stalledOps = c.stalledOps[:0]
 }
 
 // Outstanding reports open transactions.

@@ -36,10 +36,12 @@ type WeakL1 struct {
 	l2   coherence.NodeID
 
 	cache      *cacheset.Cache[innerLine]
-	waiting    coherence.LineQueue[*coherence.Msg]
-	stalledOps []*coherence.Msg
+	waiting    coherence.LineQueue[coherence.Msg]
+	stalledOps []coherence.Msg
 	flushing   int // outstanding flush writebacks
 	onFlush    func()
+	// handleCPUFn is c.handleCPU bound once, for fabric.After replays.
+	handleCPUFn func(*coherence.Msg)
 }
 
 // NewWeakL1 builds and registers a weak private L1.
@@ -49,6 +51,7 @@ func NewWeakL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.F
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2,
 		cache: cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
 	}
+	c.handleCPUFn = c.handleCPU
 	fab.Register(c)
 	return c
 }
@@ -81,7 +84,7 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == NB {
-		c.waiting.Park(line, m)
+		c.waiting.Park(line, *m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -92,7 +95,7 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 			return e.V.state != NB
 		})
 		if !ok {
-			c.stalledOps = append(c.stalledOps, m)
+			c.stalledOps = append(c.stalledOps, *m)
 			return
 		}
 		if victim != nil {
@@ -104,7 +107,7 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 		if isStore {
 			ty = coherence.XGetM
 		}
-		e.V = innerLine{state: NB, op: m}
+		e.V = innerLine{state: NB, op: *m}
 		c.send(&coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.l2})
 		return
 	}
@@ -116,7 +119,7 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 		c.respond(m, 0)
 	default: // store to a read-only local copy: upgrade (no sibling invs)
 		e.V.state = NB
-		e.V.op = m
+		e.V.op = *m
 		c.send(&coherence.Msg{Type: coherence.XGetM, Addr: line, Src: c.id, Dst: c.l2})
 	}
 }
@@ -191,11 +194,11 @@ func (c *WeakL1) Flush(done func()) {
 
 func (c *WeakL1) handleData(m *coherence.Msg) {
 	e := c.cache.Peek(m.Addr)
-	if e == nil || e.V.state != NB || e.V.op == nil {
+	if e == nil || e.V.state != NB || e.V.op.Type == coherence.MsgInvalid {
 		panic(fmt.Sprintf("%s: data with no pending get: %v", c.name, m))
 	}
 	op := e.V.op
-	e.V.op = nil
+	e.V.op = coherence.Msg{}
 	// Keep locally-written bytes on an upgrade: the weak model merges at
 	// flush time, and our own writes must not be lost.
 	if e.V.data == nil || e.V.state != NM {
@@ -209,9 +212,9 @@ func (c *WeakL1) handleData(m *coherence.Msg) {
 	if op.Type == coherence.ReqStore {
 		e.V.state = NM
 		e.V.data[op.Addr.Offset()] = op.Val
-		c.respond(op, 0)
+		c.respond(&op, 0)
 	} else {
-		c.respond(op, e.V.data[op.Addr.Offset()])
+		c.respond(&op, e.V.data[op.Addr.Offset()])
 	}
 	c.settledWeak(m.Addr.Line())
 }
@@ -251,29 +254,20 @@ func (c *WeakL1) handleInv(m *coherence.Msg) {
 	c.settledWeak(line)
 }
 
+// respond completes a core operation after the hit latency.
 func (c *WeakL1) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	c.eng.Schedule(c.cfg.HitLat, func() {
-		c.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	r := op.Completion(c.id, val)
+	c.fab.SendAfter(c.cfg.HitLat, &r)
 }
 
 func (c *WeakL1) settledWeak(line mem.Addr) {
 	if next, ok := c.waiting.Pop(line); ok {
-		c.eng.Schedule(0, func() { c.handleCPU(next) })
+		c.fab.After(0, &next, c.handleCPUFn)
 	}
-	if len(c.stalledOps) > 0 {
-		stalled := c.stalledOps
-		c.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			c.eng.Schedule(0, func() { c.handleCPU(op) })
-		}
+	for i := range c.stalledOps {
+		c.fab.After(0, &c.stalledOps[i], c.handleCPUFn)
 	}
+	c.stalledOps = c.stalledOps[:0]
 }
 
 // Outstanding reports open transactions.

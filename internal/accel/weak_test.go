@@ -28,7 +28,7 @@ func newWeakRig(seed int64) *weakRig {
 	cfg := DefaultConfig()
 	cfg.L1Sets, cfg.L1Ways = 2, 2
 	cfg.L2Sets, cfg.L2Ways = 8, 2
-	l2 := NewWeakL2(5, "weakL2", eng, fab, 1, cfg)
+	l2 := NewWeakL2(5, "weakL2", fab, 1, cfg)
 	r := &weakRig{eng: eng, fab: fab, xg: xg, l2: l2}
 	for i := 0; i < 2; i++ {
 		l1 := NewWeakL1(coherence.NodeID(10+i), fmt.Sprintf("weakL1[%d]", i), eng, fab, 5, cfg)

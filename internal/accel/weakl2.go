@@ -7,7 +7,6 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/sim"
 )
 
 // wkTxnKind labels open transactions at the weak shared L2.
@@ -21,7 +20,7 @@ const (
 
 type wkTxn struct {
 	kind    wkTxnKind
-	waiters []*coherence.Msg // XGets served once the fetch lands
+	waiters []coherence.Msg // XGets served once the fetch lands
 	wait    map[coherence.NodeID]bool
 	wantM   bool
 	invPend bool // guard Invalidate arrived mid-fetch; ack when local copies die
@@ -43,27 +42,30 @@ type wkLine struct {
 type WeakL2 struct {
 	id   coherence.NodeID
 	name string
-	eng  *sim.Engine
 	fab  *network.Fabric
 	cfg  Config
 	xg   coherence.NodeID
 
 	cache     *cacheset.Cache[wkLine]
 	evictions map[mem.Addr]*wkLine
-	waiting   coherence.LineQueue[*coherence.Msg]
-	stalled   []*coherence.Msg
-	hostInv   map[mem.Addr]*coherence.Msg
+	waiting   coherence.LineQueue[coherence.Msg]
+	stalled   []coherence.Msg
+	hostInv   map[mem.Addr]*coherence.Msg // copies of parked guard Invalidates
+	// recvFn and serveWeakFn are l.Recv and l.serveWeak bound once, for
+	// fabric.After.
+	recvFn, serveWeakFn func(*coherence.Msg)
 }
 
 // NewWeakL2 builds and registers the weak shared L2.
-func NewWeakL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+func NewWeakL2(id coherence.NodeID, name string, fab *network.Fabric,
 	xg coherence.NodeID, cfg Config) *WeakL2 {
 	l := &WeakL2{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
+		id: id, name: name, fab: fab, cfg: cfg, xg: xg,
 		cache:     cacheset.New[wkLine](cfg.L2Sets, cfg.L2Ways),
 		evictions: make(map[mem.Addr]*wkLine),
 		hostInv:   make(map[mem.Addr]*coherence.Msg),
 	}
+	l.recvFn, l.serveWeakFn = l.Recv, l.serveWeak
 	fab.Register(l)
 	return l
 }
@@ -103,7 +105,7 @@ func (l *WeakL2) send(m *coherence.Msg) { l.fab.Send(m) }
 func (l *WeakL2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if _, ev := l.evictions[addr]; ev {
-		l.waiting.Park(addr, m)
+		l.waiting.Park(addr, *m)
 		return
 	}
 	e := l.cache.Peek(addr)
@@ -118,21 +120,21 @@ func (l *WeakL2) handleGet(m *coherence.Msg) {
 					// issuing a GetM once it lands (handled at grant).
 				}
 			}
-			e.V.txn.waiters = append(e.V.txn.waiters, m)
+			e.V.txn.waiters = append(e.V.txn.waiters, *m)
 			return
 		}
-		l.waiting.Park(addr, m)
+		l.waiting.Park(addr, *m)
 		return
 	}
 	if l.waiting.Blocked(addr, m) {
-		l.waiting.Park(addr, m)
+		l.waiting.Park(addr, *m)
 		return
 	}
 	if e == nil {
 		l.missFetch(m)
 		return
 	}
-	l.eng.Schedule(l.cfg.L2Lat, func() { l.serveWeak(m) })
+	l.fab.After(l.cfg.L2Lat, m, l.serveWeakFn)
 }
 
 func (l *WeakL2) missFetch(m *coherence.Msg) {
@@ -143,7 +145,7 @@ func (l *WeakL2) missFetch(m *coherence.Msg) {
 	})
 	if !ok {
 		l.startEvictInSet(addr)
-		l.stalled = append(l.stalled, m)
+		l.stalled = append(l.stalled, *m)
 		return
 	}
 	if victim != nil {
@@ -151,7 +153,7 @@ func (l *WeakL2) missFetch(m *coherence.Msg) {
 	}
 	wantM := m.Type == coherence.XGetM
 	e.V = wkLine{host: AI, holders: map[coherence.NodeID]bool{},
-		txn: &wkTxn{kind: wkFetch, wantM: wantM, waiters: []*coherence.Msg{m}}}
+		txn: &wkTxn{kind: wkFetch, wantM: wantM, waiters: []coherence.Msg{*m}}}
 	ty := coherence.AGetS
 	if wantM {
 		ty = coherence.AGetM
@@ -164,13 +166,13 @@ func (l *WeakL2) serveWeak(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
 	if e == nil || e.V.txn != nil {
-		l.eng.Schedule(0, func() { l.Recv(m) })
+		l.fab.After(0, m, l.recvFn)
 		return
 	}
 	if m.Type == coherence.XGetM && e.V.host == AS {
 		// Need host write permission first (no sibling invalidations —
 		// the weak model's whole point).
-		e.V.txn = &wkTxn{kind: wkFetch, wantM: true, waiters: []*coherence.Msg{m}}
+		e.V.txn = &wkTxn{kind: wkFetch, wantM: true, waiters: []coherence.Msg{*m}}
 		l.send(&coherence.Msg{Type: coherence.AGetM, Addr: addr, Src: l.id, Dst: l.xg})
 		return
 	}
@@ -263,9 +265,8 @@ func (l *WeakL2) handleGrant(m *coherence.Msg) {
 		l.send(&coherence.Msg{Type: coherence.AInvAck, Addr: addr, Src: l.id, Dst: l.xg})
 		// Whatever we were granted is void; drop and refetch on demand.
 		l.cache.Invalidate(addr)
-		for _, wm := range waiters {
-			wm := wm
-			l.eng.Schedule(0, func() { l.Recv(wm) })
+		for i := range waiters {
+			l.fab.After(0, &waiters[i], l.recvFn)
 		}
 		l.pop(addr)
 		return
@@ -278,8 +279,8 @@ func (l *WeakL2) handleGrant(m *coherence.Msg) {
 	waiters := t.waiters
 	t.waiters = nil
 	e.V.txn = nil
-	for _, wm := range waiters {
-		l.grant(addr, e, wm)
+	for i := range waiters {
+		l.grant(addr, e, &waiters[i])
 	}
 	l.pop(addr)
 }
@@ -313,7 +314,7 @@ func (l *WeakL2) handleAInv(m *coherence.Msg) {
 			if l.hostInv[addr] != nil {
 				panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 			}
-			l.hostInv[addr] = m
+			l.hostInv[addr] = m.Clone()
 		}
 		return
 	}
@@ -392,15 +393,10 @@ func (l *WeakL2) pop(addr mem.Addr) {
 }
 
 func (l *WeakL2) replayStalled() {
-	if len(l.stalled) == 0 {
-		return
+	for i := range l.stalled {
+		l.fab.After(0, &l.stalled[i], l.recvFn)
 	}
-	st := l.stalled
-	l.stalled = nil
-	for _, m := range st {
-		m := m
-		l.eng.Schedule(0, func() { l.Recv(m) })
-	}
+	l.stalled = l.stalled[:0]
 }
 
 // Outstanding reports open transactions and queued work.

@@ -1,8 +1,10 @@
 package coherence
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"crossingguard/internal/mem"
 )
@@ -128,5 +130,18 @@ func TestCoverageSummaryNoDeclared(t *testing.T) {
 	c.RecordName("I", "Load")
 	if !strings.Contains(c.Summary(), "1 pairs visited") {
 		t.Errorf("Summary = %q", c.Summary())
+	}
+}
+
+// TestMsgSize pins the packed message layout on 64-bit platforms: every
+// send copies a message into the fabric's record and every delivery
+// zeroes it, so a field added or reordered without regard to alignment
+// grows the cost of every message.
+func TestMsgSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Msg{}); got != 80 {
+		t.Fatalf("sizeof(Msg) = %d bytes, want 80", got)
 	}
 }

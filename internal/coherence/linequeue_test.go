@@ -39,40 +39,50 @@ func TestLineQueueFIFOPerLine(t *testing.T) {
 
 // A replayed head is not blocked by the rest of its queue, every other
 // arrival is, and a replay that settles the line again replays the next
-// head before anything parked later — nothing overtakes.
+// head before anything parked later — nothing overtakes. Blocked tells
+// the replayed head from an equal fresh arrival by identity, and Replay
+// zeroes the head's slot once its handler returns.
 func TestLineQueueReplayNoOvertaking(t *testing.T) {
 	var q LineQueue[string]
 	const line mem.Addr = 0x40
-	if q.Blocked(line, "x") {
+	x, late := "x", "late"
+	if q.Blocked(line, &x) {
 		t.Fatal("empty line reported blocked")
 	}
 	q.Park(line, "first")
 	q.Park(line, "second")
-	if !q.Blocked(line, "late") {
+	if !q.Blocked(line, &late) {
 		t.Fatal("fresh arrival not blocked behind a non-empty queue")
 	}
 	var order []string
-	var handle func(string)
-	handle = func(v string) {
+	var kept []*string
+	var handle func(*string)
+	handle = func(v *string) {
 		if q.Blocked(line, v) {
-			t.Fatalf("replayed head %q reported blocked", v)
+			t.Fatalf("replayed head %q reported blocked", *v)
 		}
-		if !q.Blocked(line, "late") && q.Len() > 0 {
-			t.Fatalf("same-tick arrival may overtake while %q replays", v)
+		if same := *v; q.Len() > 0 && !q.Blocked(line, &same) {
+			t.Fatalf("same-tick arrival equal to %q may overtake while it replays", *v)
 		}
-		order = append(order, v)
+		order = append(order, *v)
+		kept = append(kept, v)
 		q.Replay(line, handle) // the line settles again: next head
 	}
 	q.Replay(line, handle)
-	q.Park(line, "late")
+	q.Park(line, late)
 	q.Replay(line, handle)
 	if want := []string{"first", "second", "late"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("replay order = %v, want %v", order, want)
 	}
-	if q.Len() != 0 || q.Blocked(line, "x") {
+	for i, v := range kept {
+		if *v != "" {
+			t.Fatalf("replayed head %d still reads %q after its handler returned", i, *v)
+		}
+	}
+	if q.Len() != 0 || q.Blocked(line, &x) {
 		t.Fatalf("queue not empty after replays: Len = %d", q.Len())
 	}
-	q.Replay(line, func(string) { t.Fatal("Replay ran fn on an empty line") })
+	q.Replay(line, func(*string) { t.Fatal("Replay ran fn on an empty line") })
 }
 
 func TestLineQueueReset(t *testing.T) {
@@ -80,8 +90,9 @@ func TestLineQueueReset(t *testing.T) {
 	q.Park(0x40, 1)
 	q.Park(0x80, 2)
 	q.Reset()
-	if q.Len() != 0 || q.Blocked(0x40, 9) {
-		t.Fatalf("after Reset: Len = %d, blocked = %v", q.Len(), q.Blocked(0x40, 9))
+	nine := 9
+	if q.Len() != 0 || q.Blocked(0x40, &nine) {
+		t.Fatalf("after Reset: Len = %d, blocked = %v", q.Len(), q.Blocked(0x40, &nine))
 	}
 	if _, ok := q.Pop(0x80); ok {
 		t.Fatal("Pop after Reset returned a parked item")

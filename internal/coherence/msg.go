@@ -202,31 +202,65 @@ const (
 )
 
 // Msg is a coherence message. A single struct serves every protocol;
-// unused fields are zero. Messages are immutable once sent: senders that
-// keep mutating a block must send a copy.
+// unused fields are zero.
+//
+// Ownership: a message travels by value. network.Fabric.Send copies *m
+// into its pooled in-flight record, so a sender may build the message on
+// its stack and reuse or discard it as soon as Send returns. A receiver
+// only borrows the pointer Controller.Recv hands it: the pointee is the
+// fabric's record, valid until Recv returns and zeroed right after (a
+// kept pointer then reads MsgInvalid at address 0). Anything that must
+// outlive the handler — a parked request, an open transaction's
+// operation, a deferred forward — stores its own copy, by value or with
+// Clone. The Data block is not copied: it is shared by reference and
+// must not be mutated once sent, so senders that keep mutating a block
+// send a copy of it.
+//
+// The sub-word fields come last, packed into one word, so a message is
+// 80 bytes rather than 96: every send copies it once and every delivery
+// zeroes it once.
 type Msg struct {
 	Type      MsgType
 	Addr      mem.Addr
 	Src, Dst  NodeID
 	Requestor NodeID     // original requestor, for forwarded requests
 	Data      *mem.Block // nil when absent
-	Dirty     bool       // data is modified relative to memory
-	Shared    bool       // responder also holds/held the block shared
 	Acks      int        // invalidation acks the requestor must await
-	Val       byte       // byte operand/result for sequencer-level ops
 	Tag       uint64     // sequencer-level operation id, echoed in responses
+	// Span is the causal span id of the guard transaction this message
+	// belongs to (core.Config.Spans). 0 — span tracing disabled, or a
+	// message outside any guard transaction — is omitted from rendering,
+	// so span-free traces are byte-identical to the pre-span format.
+	Span uint64
 	// Epoch is the guard epoch the message was issued under. 0 — the
 	// epoch of a guard that has never been reset — is omitted from
 	// rendering, so pre-recovery traces are byte-identical. A guard that
 	// has reintegrated its device stamps its bumped epoch on every
 	// outbound accelerator message and rejects accelerator messages
 	// carrying an older epoch as XG.StaleEpoch.
-	Epoch uint32
-	// Span is the causal span id of the guard transaction this message
-	// belongs to (core.Config.Spans). 0 — span tracing disabled, or a
-	// message outside any guard transaction — is omitted from rendering,
-	// so span-free traces are byte-identical to the pre-span format.
-	Span uint64
+	Epoch  uint32
+	Dirty  bool // data is modified relative to memory
+	Shared bool // responder also holds/held the block shared
+	Val    byte // byte operand/result for sequencer-level ops
+}
+
+// Clone returns a heap copy of m that the caller owns, for a holder that
+// must keep a borrowed message past its handler behind a pointer. The
+// Data block is shared, not copied (sent blocks are immutable).
+func (m *Msg) Clone() *Msg {
+	c := *m
+	return &c
+}
+
+// Completion returns the sequencer-level response to the ReqLoad or
+// ReqStore operation m: RespLoad or RespStore from src back to m's
+// sender, carrying val and echoing m's tag.
+func (m *Msg) Completion(src NodeID, val byte) Msg {
+	ty := RespLoad
+	if m.Type == ReqStore {
+		ty = RespStore
+	}
+	return Msg{Type: ty, Addr: m.Addr, Src: src, Dst: m.Src, Val: val, Tag: m.Tag}
 }
 
 // Bytes returns the modeled wire size of the message.
@@ -269,6 +303,11 @@ func (m *Msg) String() string {
 type Controller interface {
 	ID() NodeID
 	Name() string
+	// Recv handles one delivered message. m is borrowed: it points into
+	// the fabric's delivery record, is valid only until Recv returns,
+	// and is zeroed afterwards. A controller that keeps the message
+	// (parks it, records it as a transaction's operation, defers it)
+	// stores a copy — *m by value, or m.Clone() — never m itself.
 	Recv(m *Msg)
 }
 

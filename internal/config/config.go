@@ -485,7 +485,7 @@ func (s *System) guardCfg(spec Spec, lat Latencies) core.Config {
 
 func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 	cfg := s.hammerCfg(spec.Small, txnMods)
-	s.HDir = hammer.NewDirectory(nodeHost, "hammer.dir", s.Eng, s.Fab, s.Mem, cfg, s.Log)
+	s.HDir = hammer.NewDirectory(nodeHost, "hammer.dir", s.Fab, s.Mem, cfg, s.Log)
 	s.countStates(s.HDir.Cov)
 	s.outstandingFns = append(s.outstandingFns, s.HDir.Outstanding)
 
@@ -506,7 +506,7 @@ func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 
 	for i := 0; i < spec.CPUs; i++ {
 		c := hammer.NewCache(nodeCPU+coherence.NodeID(i), fmt.Sprintf("hammer.C[%d]", i),
-			s.Eng, s.Fab, nodeHost, responses, cfg, s.Log)
+			s.Fab, nodeHost, responses, cfg, s.Log)
 		s.countStates(c.Cov)
 		s.HCaches = append(s.HCaches, c)
 		s.HDir.AddPeer(c.ID())
@@ -528,7 +528,7 @@ func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 			for i := 0; i < spec.AccelCores; i++ {
 				id := devID(d, nodeAccel, i)
 				c := hammer.NewCache(id, devName(d, fmt.Sprintf("hammer.A[%d]", i)),
-					s.Eng, s.Fab, nodeHost, responses, acfg, s.Log)
+					s.Fab, nodeHost, responses, acfg, s.Log)
 				s.countStates(c.Cov)
 				s.AccelHCaches = append(s.AccelHCaches, c)
 				s.HDir.AddPeer(c.ID())
@@ -586,7 +586,7 @@ func (s *System) attachAccelL1(spec Spec, lat Latencies, g *core.Guard, acID, xg
 		g.SetResetHook(s.deviceResetHook(acID))
 		return
 	}
-	l1 := accel.NewL1Cache(acID, devName(d, fmt.Sprintf("accelL1[%d]", i)), s.Eng, s.Fab, xgID, s.accelCfg(spec.Small))
+	l1 := accel.NewL1Cache(acID, devName(d, fmt.Sprintf("accelL1[%d]", i)), s.Fab, xgID, s.accelCfg(spec.Small))
 	s.AccelL1s = append(s.AccelL1s, l1)
 	s.guardAccelView = append(s.guardAccelView, accelL1View(l1))
 	s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
@@ -622,7 +622,7 @@ func (s *System) buildMESI(spec Spec, lat Latencies, txnMods bool) {
 
 	for i := 0; i < spec.CPUs; i++ {
 		l1 := mesi.NewL1(nodeCPU+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i),
-			s.Eng, s.Fab, nodeHost, cfg, s.Log)
+			s.Fab, nodeHost, cfg, s.Log)
 		s.countStates(l1.Cov)
 		s.ML1s = append(s.ML1s, l1)
 		s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
@@ -636,7 +636,7 @@ func (s *System) buildMESI(spec Spec, lat Latencies, txnMods bool) {
 		case OrgAccelSide, OrgHostSide:
 			for i := 0; i < spec.AccelCores; i++ {
 				id := devID(d, nodeAccel, i)
-				l1 := mesi.NewL1(id, devName(d, fmt.Sprintf("mesi.A[%d]", i)), s.Eng, s.Fab, nodeHost, cfg, s.Log)
+				l1 := mesi.NewL1(id, devName(d, fmt.Sprintf("mesi.A[%d]", i)), s.Fab, nodeHost, cfg, s.Log)
 				s.countStates(l1.Cov)
 				s.AccelMCaches = append(s.AccelMCaches, l1)
 				s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
@@ -696,7 +696,7 @@ func (s *System) buildTwoLevelAccel(spec Spec, lat Latencies, g *core.Guard, xgI
 		return
 	}
 	acfg := s.accelCfg(spec.Small)
-	l2 := accel.NewSharedL2(l2ID, devName(d, "accelL2"), s.Eng, s.Fab, xgID, acfg)
+	l2 := accel.NewSharedL2(l2ID, devName(d, "accelL2"), s.Fab, xgID, acfg)
 	if d == 0 {
 		s.AccelL2 = l2
 	}
@@ -708,7 +708,7 @@ func (s *System) buildTwoLevelAccel(spec Spec, lat Latencies, g *core.Guard, xgI
 	var seqs []*seq.Sequencer
 	for i := 0; i < spec.AccelCores; i++ {
 		id := devID(d, nodeAccel, i)
-		l1 := accel.NewInnerL1(id, devName(d, fmt.Sprintf("accel2L.L1[%d]", i)), s.Eng, s.Fab, l2ID, acfg)
+		l1 := accel.NewInnerL1(id, devName(d, fmt.Sprintf("accel2L.L1[%d]", i)), s.Fab, l2ID, acfg)
 		s.InnerL1s = append(s.InnerL1s, l1)
 		group.l1s = append(group.l1s, l1)
 		s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
@@ -740,7 +740,7 @@ func (s *System) buildTwoLevelAccel(spec Spec, lat Latencies, g *core.Guard, xgI
 // behind a host-coherent WeakL2 talking to the guard.
 func (s *System) buildWeakAccel(spec Spec, lat Latencies, xgID coherence.NodeID) {
 	acfg := s.accelCfg(spec.Small)
-	s.WeakL2C = accel.NewWeakL2(nodeAccelL2, "weakL2", s.Eng, s.Fab, xgID, acfg)
+	s.WeakL2C = accel.NewWeakL2(nodeAccelL2, "weakL2", s.Fab, xgID, acfg)
 	s.guardAccelView = append(s.guardAccelView, weakL2View(s.WeakL2C))
 	s.outstandingFns = append(s.outstandingFns, s.WeakL2C.Outstanding)
 	s.Fab.SetRoutePair(nodeAccelL2, xgID, network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true})

@@ -69,7 +69,7 @@ func BuildMultiDevice(host HostKind, cpus int, seed int64, small bool) *MultiSys
 	base.outstandingFns = append(base.outstandingFns, gB.Outstanding)
 
 	acfg := base.accelCfg(small)
-	l2 := accel.NewSharedL2(nodeAccelL2B, "accelL2B", base.Eng, base.Fab, nodeXG2, acfg)
+	l2 := accel.NewSharedL2(nodeAccelL2B, "accelL2B", base.Fab, nodeXG2, acfg)
 	base.AccelL2 = l2
 	base.AccelL2s = append(base.AccelL2s, l2)
 	grp := innerGroup{l2: l2}
@@ -77,7 +77,7 @@ func BuildMultiDevice(host HostKind, cpus int, seed int64, small bool) *MultiSys
 	base.Fab.SetRoutePair(nodeAccelL2B, nodeXG2, network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true})
 	for i := 0; i < 2; i++ {
 		id := nodeAccelB + coherence.NodeID(i)
-		l1 := accel.NewInnerL1(id, fmt.Sprintf("accelB.L1[%d]", i), base.Eng, base.Fab, nodeAccelL2B, acfg)
+		l1 := accel.NewInnerL1(id, fmt.Sprintf("accelB.L1[%d]", i), base.Fab, nodeAccelL2B, acfg)
 		base.InnerL1s = append(base.InnerL1s, l1)
 		grp.l1s = append(grp.l1s, l1)
 		base.outstandingFns = append(base.outstandingFns, l1.Outstanding)

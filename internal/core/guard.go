@@ -198,8 +198,9 @@ type pendingGrant struct {
 // parkedReq is an accelerator request waiting for its line: a Get behind
 // an open recall, or any request behind the shim's own host transaction.
 // arrive is its original arrival tick (the span request phase start).
+// The request is held by value: the delivered message is only borrowed.
 type parkedReq struct {
-	m      *coherence.Msg
+	m      coherence.Msg
 	arrive sim.Time
 }
 
@@ -233,6 +234,16 @@ type Guard struct {
 	// parked holds requests deferred until their line settles; wake
 	// re-runs them once the blocking recall or shim transaction closes.
 	parked coherence.LineQueue[parkedReq]
+
+	// rateArrive holds the arrival ticks of requests waiting out a
+	// rate-limit delay, in admission order; resumeRated pops the head.
+	// The limiter never lets a later admission fire before an earlier
+	// one (each delayed request only deepens its token debt), and equal
+	// fire ticks run in scheduling order, so the head always belongs to
+	// the request being resumed.
+	rateArrive []sim.Time
+	// resumeRatedFn is g.resumeRated bound once, for fabric.After.
+	resumeRatedFn func(*coherence.Msg)
 
 	// Disabled is set once the error policy shuts the accelerator out.
 	Disabled bool
@@ -370,6 +381,7 @@ func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fa
 		shards:    make([]guardShard, n),
 		shardMask: uint64(n - 1),
 	}
+	g.resumeRatedFn = g.resumeRated
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.txns = make(map[mem.Addr]*accelTxn)
@@ -672,10 +684,19 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 	if g.cfg.Rate != nil {
 		if wait := g.cfg.Rate.Admit(arrive); wait > 0 {
 			g.RateDelayed++
-			g.eng.Schedule(wait, func() { g.processAccelRequest(m, arrive) })
+			g.rateArrive = append(g.rateArrive, arrive)
+			g.fab.After(wait, m, g.resumeRatedFn)
 			return
 		}
 	}
+	g.processAccelRequest(m, arrive)
+}
+
+// resumeRated processes a request once its rate-limit wait has passed,
+// with its original arrival tick.
+func (g *Guard) resumeRated(m *coherence.Msg) {
+	arrive := g.rateArrive[0]
+	g.rateArrive = g.rateArrive[1:]
 	g.processAccelRequest(m, arrive)
 }
 
@@ -736,7 +757,7 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	// Get while its own Put for the line is outstanding.
 	if _, open := sh.txns[addr]; !open {
 		if _, recalling := sh.hosts[addr]; !recalling && g.shim.busy(addr) {
-			g.parked.Park(addr, parkedReq{m, arrive})
+			g.parked.Park(addr, parkedReq{*m, arrive})
 			return
 		}
 	}
@@ -755,7 +776,7 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 		case coherence.APutM, coherence.APutE, coherence.APutS:
 			g.resolveRecallByPut(addr, ht, m)
 		default:
-			g.parked.Park(addr, parkedReq{m, arrive})
+			g.parked.Park(addr, parkedReq{*m, arrive})
 		}
 		return
 	}
@@ -798,8 +819,8 @@ func (g *Guard) wake(addr mem.Addr) {
 		return
 	}
 	g.eng.Schedule(0, func() {
-		for _, r := range reqs {
-			g.processAccelRequest(r.m, r.arrive)
+		for i := range reqs {
+			g.processAccelRequest(&reqs[i].m, reqs[i].arrive)
 		}
 	})
 }

@@ -40,7 +40,8 @@ func (s *stubShim) drain(addr mem.Addr, data *mem.Block, dirty bool) {
 	s.puts = append(s.puts, addr)
 }
 
-// accelSink collects what the guard sends to the accelerator.
+// accelSink collects (copies of) what the guard sends to the
+// accelerator; Recv only borrows m.
 type accelSink struct {
 	id  coherence.NodeID
 	got []*coherence.Msg
@@ -48,7 +49,7 @@ type accelSink struct {
 
 func (a *accelSink) ID() coherence.NodeID  { return a.id }
 func (a *accelSink) Name() string          { return "accelSink" }
-func (a *accelSink) Recv(m *coherence.Msg) { a.got = append(a.got, m) }
+func (a *accelSink) Recv(m *coherence.Msg) { a.got = append(a.got, m.Clone()) }
 
 type coreRig struct {
 	eng   *sim.Engine

@@ -21,6 +21,9 @@ type Injector struct {
 	rng     *rand.Rand
 	fab     *network.Fabric
 	watched map[[2]coherence.NodeID]bool
+	// dels is the deliveries buffer Intercept returns, reused for every
+	// watched message: the fabric consumes it before its next Send.
+	dels []network.Delivery
 
 	// Injected counts every fault applied (sum over kinds).
 	Injected uint64
@@ -104,7 +107,7 @@ func (in *Injector) Intercept(now sim.Time, m *coherence.Msg) ([]network.Deliver
 		in.note(now, "dup", in.mDup, &in.Dups, m)
 		n = 2
 	}
-	dels := make([]network.Delivery, 0, n)
+	dels := in.dels[:0]
 	for i := 0; i < n; i++ {
 		d := network.Delivery{Msg: m}
 		if in.roll(in.plan.Corrupt) && m.Data != nil {
@@ -121,13 +124,14 @@ func (in *Injector) Intercept(now sim.Time, m *coherence.Msg) ([]network.Deliver
 		}
 		dels = append(dels, d)
 	}
+	in.dels = dels
 	return dels, true
 }
 
 // corrupt returns a copy of m with one random bit flipped in a copied
-// data block. Messages are immutable once sent, so corruption never
-// touches the original (a duplicate of a corrupted message can deliver
-// the clean payload).
+// data block. m is borrowed and its block is shared with the sender, so
+// corruption never touches either (a duplicate of a corrupted message
+// can deliver the clean payload).
 func (in *Injector) corrupt(m *coherence.Msg) *coherence.Msg {
 	cp := *m
 	blk := *m.Data

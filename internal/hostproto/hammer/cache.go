@@ -7,7 +7,6 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/sim"
 )
 
 // cLine is the protocol payload of one private-cache line.
@@ -23,15 +22,14 @@ type cLine struct {
 	cacheData *mem.Block
 	cacheDirt bool
 	memData   *mem.Block
-	noExcl    bool // GetS_only: never take E
-	op        *coherence.Msg
+	noExcl    bool          // GetS_only: never take E
+	op        coherence.Msg // CPU operation of the open Get (MsgInvalid when none)
 }
 
 // Cache is a private combined L1/L2 in the Hammer-like protocol.
 type Cache struct {
 	id   coherence.NodeID
 	name string
-	eng  *sim.Engine
 	fab  *network.Fabric
 	cfg  Config
 	dir  coherence.NodeID
@@ -42,8 +40,10 @@ type Cache struct {
 
 	cache      *cacheset.Cache[cLine]
 	wb         map[mem.Addr]*cLine
-	waiting    coherence.LineQueue[*coherence.Msg]
-	stalledOps []*coherence.Msg
+	waiting    coherence.LineQueue[coherence.Msg]
+	stalledOps []coherence.Msg
+	// handleCPUFn is c.handleCPU bound once, for fabric.After replays.
+	handleCPUFn func(*coherence.Msg)
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
@@ -53,15 +53,16 @@ type Cache struct {
 
 // NewCache builds and registers a private cache. responses must be
 // (number of peer caches) + 1.
-func NewCache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+func NewCache(id coherence.NodeID, name string, fab *network.Fabric,
 	dir coherence.NodeID, responses int, cfg Config, sink coherence.ErrorSink) *Cache {
 	c := &Cache{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, dir: dir, sink: sink,
+		id: id, name: name, fab: fab, cfg: cfg, dir: dir, sink: sink,
 		responses: responses,
 		cache:     cacheset.New[cLine](cfg.Sets, cfg.Ways),
 		wb:        make(map[mem.Addr]*cLine),
 		Cov:       NewCacheCoverage(),
 	}
+	c.handleCPUFn = c.handleCPU
 	fab.Register(c)
 	return c
 }
@@ -138,12 +139,12 @@ func (c *Cache) send(m *coherence.Msg) { c.fab.Send(m) }
 func (c *Cache) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
-		c.waiting.Park(line, m)
+		c.waiting.Park(line, *m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && !e.V.state.Stable() {
-		c.waiting.Park(line, m)
+		c.waiting.Park(line, *m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -193,7 +194,7 @@ func (c *Cache) issueGet(e *cacheset.Entry[cLine], op *coherence.Msg, ty coheren
 	e.V.cacheData = nil
 	e.V.memData = nil
 	e.V.noExcl = ty == coherence.HGetSOnly
-	e.V.op = op
+	e.V.op = *op
 	c.send(&coherence.Msg{Type: ty, Addr: e.Addr, Src: c.id, Dst: c.dir})
 }
 
@@ -202,7 +203,7 @@ func (c *Cache) allocate(m *coherence.Msg) *cacheset.Entry[cLine] {
 		return e.V.state.Stable()
 	})
 	if !ok {
-		c.stalledOps = append(c.stalledOps, m)
+		c.stalledOps = append(c.stalledOps, *m)
 		return nil
 	}
 	if victim != nil {
@@ -226,15 +227,10 @@ func (c *Cache) evict(addr mem.Addr, v *cLine) {
 	}
 }
 
+// respond completes a CPU operation after the hit latency.
 func (c *Cache) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	c.eng.Schedule(c.cfg.HitLat, func() {
-		c.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	r := op.Completion(c.id, val)
+	c.fab.SendAfter(c.cfg.HitLat, &r)
 }
 
 // --- forwards (broadcast requests from the directory) ---
@@ -299,7 +295,7 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 
 func (c *Cache) handleResponse(m *coherence.Msg) {
 	e := c.cache.Peek(m.Addr)
-	if e == nil || e.V.op == nil {
+	if e == nil || e.V.op.Type == coherence.MsgInvalid {
 		c.protocolError("I", m)
 		return
 	}
@@ -377,15 +373,15 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 		if tookShared {
 			e.V.dirty = false // the owner retains responsibility
 		}
-		c.respond(op, e.V.data[op.Addr.Offset()])
+		c.respond(&op, e.V.data[op.Addr.Offset()])
 	} else {
 		e.V.state = CM
 		e.V.data = data.Copy()
 		e.V.dirty = true
 		e.V.data[op.Addr.Offset()] = op.Val
-		c.respond(op, 0)
+		c.respond(&op, 0)
 	}
-	e.V.op = nil
+	e.V.op = coherence.Msg{}
 	e.V.cacheData = nil
 	e.V.memData = nil
 	c.send(&coherence.Msg{Type: coherence.HUnblock, Addr: e.Addr, Src: c.id, Dst: c.dir,
@@ -466,16 +462,12 @@ func (c *Cache) handleNack(m *coherence.Msg) {
 
 func (c *Cache) settled(line mem.Addr) {
 	if next, ok := c.waiting.Pop(line); ok {
-		c.eng.Schedule(0, func() { c.handleCPU(next) })
+		c.fab.After(0, &next, c.handleCPUFn)
 	}
-	if len(c.stalledOps) > 0 {
-		stalled := c.stalledOps
-		c.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			c.eng.Schedule(0, func() { c.handleCPU(op) })
-		}
+	for i := range c.stalledOps {
+		c.fab.After(0, &c.stalledOps[i], c.handleCPUFn)
 	}
+	c.stalledOps = c.stalledOps[:0]
 }
 
 // Outstanding reports open transactions.

@@ -6,7 +6,6 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/sim"
 )
 
 // dirTxnKind labels an open directory transaction.
@@ -35,7 +34,6 @@ type dirLine struct {
 type Directory struct {
 	id    coherence.NodeID
 	name  string
-	eng   *sim.Engine
 	fab   *network.Fabric
 	cfg   Config
 	sink  coherence.ErrorSink
@@ -43,7 +41,10 @@ type Directory struct {
 
 	memory  *mem.Memory
 	lines   map[mem.Addr]*dirLine
-	waiting coherence.LineQueue[*coherence.Msg]
+	waiting coherence.LineQueue[coherence.Msg]
+	// broadcastFn and memReplyFn are d.broadcast and d.memReply bound
+	// once, for fabric.After.
+	broadcastFn, memReplyFn func(*coherence.Msg)
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
@@ -52,14 +53,15 @@ type Directory struct {
 }
 
 // NewDirectory builds and registers the directory over memory.
-func NewDirectory(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+func NewDirectory(id coherence.NodeID, name string, fab *network.Fabric,
 	memory *mem.Memory, cfg Config, sink coherence.ErrorSink) *Directory {
 	d := &Directory{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink,
+		id: id, name: name, fab: fab, cfg: cfg, sink: sink,
 		memory: memory,
 		lines:  make(map[mem.Addr]*dirLine),
 		Cov:    NewDirectoryCoverage(),
 	}
+	d.broadcastFn, d.memReplyFn = d.broadcast, d.memReply
 	fab.Register(d)
 	return d
 }
@@ -136,14 +138,14 @@ func (d *Directory) Recv(m *coherence.Msg) {
 		if l.txn != nil || d.waiting.Blocked(addr, m) {
 			// Strict per-line FIFO: nothing may overtake queued requests
 			// (a Get overtaking a queued Put would read stale memory).
-			d.waiting.Park(addr, m)
+			d.waiting.Park(addr, *m)
 			return
 		}
 		l.txn = &dirTxn{kind: dirGet, requestor: m.Src}
-		d.eng.Schedule(d.cfg.DirLat, func() { d.broadcast(m) })
+		d.fab.After(d.cfg.DirLat, m, d.broadcastFn)
 	case coherence.HPut:
 		if l.txn != nil || d.waiting.Blocked(addr, m) {
-			d.waiting.Park(addr, m)
+			d.waiting.Park(addr, *m)
 			return
 		}
 		if l.owner != m.Src {
@@ -155,9 +157,7 @@ func (d *Directory) Recv(m *coherence.Msg) {
 			return
 		}
 		l.txn = &dirTxn{kind: dirWB, requestor: m.Src}
-		d.eng.Schedule(d.cfg.DirLat, func() {
-			d.send(&coherence.Msg{Type: coherence.HWBAck, Addr: addr, Src: d.id, Dst: m.Src})
-		})
+		d.fab.SendAfter(d.cfg.DirLat, &coherence.Msg{Type: coherence.HWBAck, Addr: addr, Src: d.id, Dst: m.Src})
 	case coherence.HWBData:
 		if l.txn == nil || l.txn.kind != dirWB || l.txn.requestor != m.Src {
 			d.protocolError(d.stateName(l), m)
@@ -204,10 +204,16 @@ func (d *Directory) broadcast(m *coherence.Msg) {
 		}
 		d.send(&coherence.Msg{Type: fwd, Addr: addr, Src: d.id, Dst: p, Requestor: m.Src})
 	}
-	d.eng.Schedule(d.cfg.MemLat, func() {
-		d.send(&coherence.Msg{Type: coherence.HMemData, Addr: addr, Src: d.id, Dst: m.Src,
-			Data: d.memory.Read(addr)})
-	})
+	d.fab.After(d.cfg.MemLat, m, d.memReplyFn)
+}
+
+// memReply sends the speculative memory data for the Get m, read from
+// memory when the reply leaves (after the memory latency), not when the
+// Get was broadcast.
+func (d *Directory) memReply(m *coherence.Msg) {
+	addr := m.Addr.Line()
+	d.send(&coherence.Msg{Type: coherence.HMemData, Addr: addr, Src: d.id, Dst: m.Src,
+		Data: d.memory.Read(addr)})
 }
 
 func (d *Directory) send(m *coherence.Msg) { d.fab.Send(m) }

@@ -37,11 +37,11 @@ func NewSystem(nCPU int, cfg Config, seed int64) *System {
 	memory := mem.NewMemory()
 	log := coherence.NewErrorLog()
 	s := &System{Eng: eng, Fab: fab, Mem: memory, Log: log}
-	s.Dir = NewDirectory(NodeDir, "hammer.dir", eng, fab, memory, cfg, log)
+	s.Dir = NewDirectory(NodeDir, "hammer.dir", fab, memory, cfg, log)
 	responses := nCPU // (nCPU-1 peers) + 1 memory response
 	for i := 0; i < nCPU; i++ {
 		c := NewCache(NodeCache+coherence.NodeID(i), fmt.Sprintf("hammer.C[%d]", i),
-			eng, fab, NodeDir, responses, cfg, log)
+			fab, NodeDir, responses, cfg, log)
 		s.Caches = append(s.Caches, c)
 		s.Dir.AddPeer(c.ID())
 		sq := seq.New(NodeSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), eng, fab, c.ID())

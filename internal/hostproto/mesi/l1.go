@@ -7,25 +7,23 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/sim"
 )
 
 // l1Line is the protocol payload of one L1 cache line.
 type l1Line struct {
 	state  L1State
 	data   *mem.Block
-	dirty  bool             // modified relative to the L2
-	needed int              // responses to await for a GetM (-1 = unknown)
-	got    int              // responses received so far
-	op     *coherence.Msg   // CPU operation driving the open transaction
-	fwds   []*coherence.Msg // forwards queued until the line stabilizes
+	dirty  bool            // modified relative to the L2
+	needed int             // responses to await for a GetM (-1 = unknown)
+	got    int             // responses received so far
+	op     coherence.Msg   // CPU operation driving the open transaction
+	fwds   []coherence.Msg // forwards queued until the line stabilizes
 }
 
 // L1 is a private MESI L1 cache attached to the shared L2.
 type L1 struct {
 	id   coherence.NodeID
 	name string
-	eng  *sim.Engine
 	fab  *network.Fabric
 	cfg  Config
 	l2   coherence.NodeID
@@ -37,24 +35,28 @@ type L1 struct {
 	wb map[mem.Addr]*l1Line
 	// waiting queues CPU operations that hit a line with an open
 	// transaction (e.g. an address being written back).
-	waiting coherence.LineQueue[*coherence.Msg]
+	waiting coherence.LineQueue[coherence.Msg]
 	// stalledOps holds CPU operations that could not allocate a line
 	// because every way in the set was transient.
-	stalledOps []*coherence.Msg
+	stalledOps []coherence.Msg
+	// recvFn and handleCPUFn are l.Recv and l.handleCPU bound once, for
+	// fabric.After replays.
+	recvFn, handleCPUFn func(*coherence.Msg)
 
 	// Cov records (state, event) coverage for the stress-test report.
 	Cov *coherence.Coverage
 }
 
 // NewL1 builds and registers an L1.
-func NewL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+func NewL1(id coherence.NodeID, name string, fab *network.Fabric,
 	l2 coherence.NodeID, cfg Config, sink coherence.ErrorSink) *L1 {
 	l := &L1{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2, sink: sink,
+		id: id, name: name, fab: fab, cfg: cfg, l2: l2, sink: sink,
 		cache: cacheset.New[l1Line](cfg.L1Sets, cfg.L1Ways),
 		wb:    make(map[mem.Addr]*l1Line),
 		Cov:   NewL1Coverage(),
 	}
+	l.recvFn, l.handleCPUFn = l.Recv, l.handleCPU
 	fab.Register(l)
 	return l
 }
@@ -166,12 +168,12 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, ok := l.wb[line]; ok {
 		// Address is mid-writeback; wait for the WBAck.
-		l.waiting.Park(line, m)
+		l.waiting.Park(line, *m)
 		return
 	}
 	e := l.cache.Lookup(m.Addr)
 	if e != nil && !e.V.state.Stable() {
-		l.waiting.Park(line, m)
+		l.waiting.Park(line, *m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -188,11 +190,11 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 		if isStore {
 			e.V.state = L1IMad
 			e.V.needed = -1
-			e.V.op = m
+			e.V.op = *m
 			l.send(&coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.id, Dst: l.l2})
 		} else {
 			e.V.state = L1ISd
-			e.V.op = m
+			e.V.op = *m
 			l.send(&coherence.Msg{Type: coherence.MGetS, Addr: line, Src: l.id, Dst: l.l2})
 		}
 		return
@@ -214,7 +216,7 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 	case st == L1S:
 		e.V.state = L1SMad
 		e.V.needed = -1
-		e.V.op = m
+		e.V.op = *m
 		l.send(&coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.id, Dst: l.l2})
 	}
 }
@@ -226,7 +228,7 @@ func (l *L1) allocate(m *coherence.Msg) *cacheset.Entry[l1Line] {
 		return e.V.state.Stable()
 	})
 	if !ok {
-		l.stalledOps = append(l.stalledOps, m)
+		l.stalledOps = append(l.stalledOps, *m)
 		return nil
 	}
 	if victim != nil {
@@ -254,14 +256,8 @@ func (l *L1) evict(addr mem.Addr, v *l1Line) {
 
 // respond completes a CPU operation after the hit latency.
 func (l *L1) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	l.eng.Schedule(l.cfg.L1HitLat, func() {
-		l.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: l.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	r := op.Completion(l.id, val)
+	l.fab.SendAfter(l.cfg.L1HitLat, &r)
 }
 
 func (l *L1) send(m *coherence.Msg) { l.fab.Send(m) }
@@ -367,9 +363,9 @@ func (l *L1) completeGet(e *cacheset.Entry[l1Line], data *mem.Block, st L1State)
 	e.V.state = st
 	e.V.data = data.Copy()
 	e.V.dirty = false
-	e.V.op = nil
+	e.V.op = coherence.Msg{}
 	l.send(&coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.id, Dst: l.l2})
-	l.respond(op, e.V.data[op.Addr.Offset()])
+	l.respond(&op, e.V.data[op.Addr.Offset()])
 	l.drainFwds(e)
 	l.settled(e.Addr)
 }
@@ -405,10 +401,10 @@ func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
 	e.V.dirty = true
 	e.V.needed = -1
 	e.V.got = 0
-	e.V.op = nil
+	e.V.op = coherence.Msg{}
 	e.V.data[op.Addr.Offset()] = op.Val
 	l.send(&coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.id, Dst: l.l2})
-	l.respond(op, 0)
+	l.respond(&op, 0)
 	l.drainFwds(e)
 	l.settled(e.Addr)
 }
@@ -482,7 +478,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 			e.V.dirty = false
 			l.settled(line)
 		case L1IMa, L1SMa:
-			e.V.fwds = append(e.V.fwds, m)
+			e.V.fwds = append(e.V.fwds, *m)
 		default:
 			l.protocolError(st.String(), m)
 		}
@@ -494,7 +490,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 			l.cache.Invalidate(m.Addr)
 			l.settled(line)
 		case L1IMa, L1SMa:
-			e.V.fwds = append(e.V.fwds, m)
+			e.V.fwds = append(e.V.fwds, *m)
 		default:
 			l.protocolError(st.String(), m)
 		}
@@ -550,9 +546,8 @@ func (l *L1) sendInvAck(m *coherence.Msg) {
 func (l *L1) drainFwds(e *cacheset.Entry[l1Line]) {
 	fwds := e.V.fwds
 	e.V.fwds = nil
-	for _, f := range fwds {
-		f := f
-		l.eng.Schedule(0, func() { l.Recv(f) })
+	for i := range fwds {
+		l.fab.After(0, &fwds[i], l.recvFn)
 	}
 }
 
@@ -560,16 +555,12 @@ func (l *L1) drainFwds(e *cacheset.Entry[l1Line]) {
 // stalled on allocation.
 func (l *L1) settled(line mem.Addr) {
 	if next, ok := l.waiting.Pop(line); ok {
-		l.eng.Schedule(0, func() { l.handleCPU(next) })
+		l.fab.After(0, &next, l.handleCPUFn)
 	}
-	if len(l.stalledOps) > 0 {
-		stalled := l.stalledOps
-		l.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			l.eng.Schedule(0, func() { l.handleCPU(op) })
-		}
+	for i := range l.stalledOps {
+		l.fab.After(0, &l.stalledOps[i], l.handleCPUFn)
 	}
+	l.stalledOps = l.stalledOps[:0]
 }
 
 // Outstanding reports open transactions (for deadlock detection).

@@ -15,7 +15,7 @@ import (
 type l2Txn struct {
 	kind        txnKind
 	requestor   coherence.NodeID
-	req         *coherence.Msg // original request (replayed after a fetch)
+	req         coherence.Msg // the transaction's own copy of the request (replayed after a fetch)
 	oldOwner    coherence.NodeID
 	unblocked   bool
 	needCopy    bool
@@ -46,8 +46,10 @@ type L2 struct {
 
 	cache   *cacheset.Cache[l2Line]
 	memory  *mem.Memory
-	waiting coherence.LineQueue[*coherence.Msg]
-	stalled []*coherence.Msg
+	waiting coherence.LineQueue[coherence.Msg]
+	stalled []coherence.Msg
+	// recvFn is l.Recv bound once, for fabric.After replays.
+	recvFn func(*coherence.Msg)
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
@@ -64,6 +66,7 @@ func NewL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 		memory: memory,
 		Cov:    NewL2Coverage(),
 	}
+	l.recvFn = l.Recv
 	fab.Register(l)
 	return l
 }
@@ -150,7 +153,7 @@ func (l *L2) handleGet(m *coherence.Msg) {
 	e := l.cache.Peek(addr)
 	if (e != nil && e.V.txn != nil) || l.waiting.Blocked(addr, m) {
 		// Strict per-line FIFO: nothing may overtake queued requests.
-		l.waiting.Park(addr, m)
+		l.waiting.Park(addr, *m)
 		return
 	}
 	if e == nil {
@@ -159,8 +162,9 @@ func (l *L2) handleGet(m *coherence.Msg) {
 	}
 	// Reserve the line for the duration of the lookup latency so that a
 	// second request cannot start a racing transaction.
-	e.V.txn = &l2Txn{kind: txnLookup, requestor: m.Src, req: m, oldOwner: coherence.NodeNone}
-	l.after(l.cfg.L2Lat, func() { l.serveHit(m) })
+	t := &l2Txn{kind: txnLookup, requestor: m.Src, req: *m, oldOwner: coherence.NodeNone}
+	e.V.txn = t
+	l.after(l.cfg.L2Lat, func() { l.serveHit(&t.req) })
 }
 
 // missFetch allocates a line and fetches it from memory; the original
@@ -174,7 +178,7 @@ func (l *L2) missFetch(m *coherence.Msg) {
 		// Every way is either busy or still has L1 copies: recall the
 		// LRU candidate with copies, then retry.
 		l.startRecallInSet(addr)
-		l.stalled = append(l.stalled, m)
+		l.stalled = append(l.stalled, *m)
 		return
 	}
 	if victim != nil && victim.V.dirty {
@@ -182,13 +186,13 @@ func (l *L2) missFetch(m *coherence.Msg) {
 	}
 	e.V = l2Line{state: L2SS, owner: coherence.NodeNone,
 		sharers: make(map[coherence.NodeID]bool),
-		txn:     &l2Txn{kind: txnFetch, requestor: m.Src, req: m, oldOwner: coherence.NodeNone}}
+		txn:     &l2Txn{kind: txnFetch, requestor: m.Src, req: *m, oldOwner: coherence.NodeNone}}
 	l.after(l.cfg.L2Lat+l.cfg.MemLat, func() {
 		le := l.cache.Peek(addr)
 		if le == nil || le.V.txn == nil || le.V.txn.kind != txnFetch {
 			panic(fmt.Sprintf("%s: fetch completion for %v found no fetch txn", l.name, addr))
 		}
-		req := le.V.txn.req
+		req := &le.V.txn.req
 		le.V.data = l.memory.Read(addr)
 		le.V.dirty = false
 		le.V.txn = nil
@@ -202,13 +206,15 @@ func (l *L2) serveHit(m *coherence.Msg) {
 	e := l.cache.Peek(addr)
 	if e == nil {
 		// The line moved under a replayed request; start over.
-		l.eng.Schedule(0, func() { l.Recv(m) })
+		l.fab.After(0, m, l.recvFn)
 		return
 	}
-	if e.V.txn != nil && e.V.txn.kind == txnLookup && e.V.txn.req == m {
+	// A lookup reservation resolves only for the request it reserved
+	// for: the continuation passes &txn.req, compared by identity.
+	if e.V.txn != nil && e.V.txn.kind == txnLookup && &e.V.txn.req == m {
 		e.V.txn = nil // lookup reservation resolves into the real txn below
 	} else if e.V.txn != nil {
-		l.eng.Schedule(0, func() { l.Recv(m) })
+		l.fab.After(0, m, l.recvFn)
 		return
 	}
 	r := m.Src
@@ -276,7 +282,7 @@ func (l *L2) handlePut(m *coherence.Msg) {
 		return
 	}
 	if t := e.V.txn; t == nil && l.waiting.Blocked(addr, m) {
-		l.waiting.Park(addr, m)
+		l.waiting.Park(addr, *m)
 		return
 	} else if t != nil {
 		switch {
@@ -294,7 +300,7 @@ func (l *L2) handlePut(m *coherence.Msg) {
 			l.ackPut(m)
 			l.maybeFinishRecall(addr, e)
 		default:
-			l.waiting.Park(addr, m)
+			l.waiting.Park(addr, *m)
 		}
 		return
 	}
@@ -465,15 +471,10 @@ func (l *L2) maybeFinishRecall(addr mem.Addr, e *cacheset.Entry[l2Line]) {
 func (l *L2) popWaiting(addr mem.Addr) { l.waiting.Replay(addr, l.Recv) }
 
 func (l *L2) replayStalled() {
-	if len(l.stalled) == 0 {
-		return
+	for i := range l.stalled {
+		l.fab.After(0, &l.stalled[i], l.recvFn)
 	}
-	stalled := l.stalled
-	l.stalled = nil
-	for _, m := range stalled {
-		m := m
-		l.eng.Schedule(0, func() { l.Recv(m) })
-	}
+	l.stalled = l.stalled[:0]
 }
 
 // Outstanding reports open transactions and queued work.

@@ -41,7 +41,7 @@ func NewSystem(nCPU int, cfg Config, seed int64) *System {
 	s := &System{Eng: eng, Fab: fab, Mem: memory, Log: log}
 	s.L2C = NewL2(NodeL2, "mesi.L2", eng, fab, memory, cfg, log)
 	for i := 0; i < nCPU; i++ {
-		l1 := NewL1(NodeL1+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i), eng, fab, NodeL2, cfg, log)
+		l1 := NewL1(NodeL1+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i), fab, NodeL2, cfg, log)
 		s.L1s = append(s.L1s, l1)
 		sq := seq.New(NodeSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), eng, fab, l1.ID())
 		s.Seqs = append(s.Seqs, sq)

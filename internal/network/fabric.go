@@ -17,8 +17,16 @@
 // sim.Engine.ScheduleEventAt instead of a fresh closure per message,
 // per-channel traffic accounting indexes fixed per-type arrays instead
 // of maps, and trace events are only constructed when the bus is Active.
-// TestFabricSendAllocFree and BenchmarkFabricSend pin the 0 allocs/op
-// budget; see ARCHITECTURE.md "Hot path & allocation discipline".
+//
+// Messages ride the records by value. Send copies the caller's message
+// into a record, so &coherence.Msg{...} literals at call sites stay on
+// the sender's stack; the receiver borrows the record's copy for the
+// duration of Recv, after which the record is zeroed and recycled (see
+// coherence.Msg for the ownership contract). After and SendAfter reuse
+// the same records for a controller's delayed message work, replacing a
+// closure per deferred message. TestFabricSendAllocFree and
+// BenchmarkFabricSend pin the 0 allocs/op budget; see ARCHITECTURE.md
+// "Hot path & allocation discipline".
 package network
 
 import (
@@ -108,8 +116,10 @@ func (ch *channel) snapshot() Stats {
 // Interceptor turns a single Send into zero (drop), one, or several
 // deliveries, each possibly perturbed.
 type Delivery struct {
-	// Msg is the message to deliver — the original, or a corrupted copy
-	// (messages are immutable once sent, so corruption must copy).
+	// Msg is the message to deliver — the intercepted one, or a
+	// corrupted copy (the intercepted message is borrowed, so corruption
+	// must copy). The fabric copies *Msg into its delivery record before
+	// Intercept's caller returns; the pointee need not outlive that.
 	Msg *coherence.Msg
 	// ExtraDelay is added to the channel's configured latency.
 	ExtraDelay sim.Time
@@ -123,44 +133,60 @@ type Delivery struct {
 // consulted once per Send, before delivery is scheduled; returning
 // handled=false leaves the message on the normal path. With handled=true
 // the fabric schedules exactly the returned deliveries — an empty slice
-// drops the message. Interceptors must be deterministic (seeded RNG, no
-// wall clock): a fabric with the same interceptor state replays the same
-// schedule.
+// drops the message. m is borrowed for the call only (it is a fabric
+// scratch copy, overwritten by the next Send), and the fabric consumes
+// the returned slice before any later Send reaches Intercept again, so
+// an interceptor may reuse one buffer for it. Interceptors must be
+// deterministic (seeded RNG, no wall clock): a fabric with the same
+// interceptor state replays the same schedule.
 type Interceptor interface {
 	Intercept(now sim.Time, m *coherence.Msg) (deliveries []Delivery, handled bool)
 }
 
-// delivRec is one pooled in-flight delivery: the closure-free replacement
-// for the per-message func() the fabric used to hand the engine. The
-// callback (run) is bound into ev exactly once, when the record is first
-// allocated; afterwards the record cycles through the fabric's free list,
-// so steady-state delivery costs zero allocations. A record belongs to
-// the engine from ScheduleEventAt until run fires, which releases it
-// (fields cleared — no message is pinned by the pool) before invoking the
-// receiver, so a Recv that immediately Sends reuses the same record.
+// delivRec is one pooled scheduled message: an in-flight delivery, or a
+// controller's delayed continuation (After). It is the closure-free
+// replacement for the per-message func() the fabric used to hand the
+// engine, and it holds its message by value. The callback (run) is bound
+// into ev exactly once, when the record is first allocated; afterwards
+// the record cycles through the fabric's free list, so steady-state
+// scheduling costs zero allocations. A record belongs to the engine from
+// scheduling until run fires; run lends &m to the receiver, then zeroes
+// the record (no message or data block is pinned by the pool, and a
+// pointer kept past Recv reads MsgInvalid) and releases it.
 type delivRec struct {
-	fab  *Fabric
+	fab *Fabric
+	// A delivery has ch and dst set; an After continuation has fn set.
 	ch   *channel
 	dst  coherence.Controller
-	m    *coherence.Msg
+	fn   func(*coherence.Msg)
+	m    coherence.Msg
 	ev   sim.Timed
 	next *delivRec // free-list link, nil while in flight
 }
 
-// run is the arrival callback: pool release, accounting, trace, Recv.
+// run is the event callback: for a delivery, accounting, trace and Recv;
+// for a continuation, fn. Either borrows &r.m, then the record is
+// recycled.
 func (r *delivRec) run() {
 	f := r.fab
-	ch, dst, m := r.ch, r.dst, r.m
-	r.ch, r.dst, r.m = nil, nil, nil
+	if r.fn != nil {
+		r.fn(&r.m)
+	} else {
+		r.ch.inflight--
+		f.mInflight.Add(-1)
+		if b := f.Bus; b.Active() {
+			b.Emit(obs.MsgEvent(f.eng.Now(), obs.KindRecv, r.dst.Name(), &r.m))
+		}
+		r.dst.Recv(&r.m)
+	}
+	// One statement per field: a tuple assignment would stage the
+	// message through a temporary.
+	r.ch = nil
+	r.dst = nil
+	r.fn = nil
+	r.m = coherence.Msg{}
 	r.next = f.freeRec
 	f.freeRec = r
-
-	ch.inflight--
-	f.mInflight.Add(-1)
-	if b := f.Bus; b.Active() {
-		b.Emit(obs.MsgEvent(f.eng.Now(), obs.KindRecv, dst.Name(), m))
-	}
-	dst.Recv(m)
 }
 
 // Fabric routes messages between registered controllers.
@@ -172,10 +198,17 @@ type Fabric struct {
 	defaults Config
 	routes   map[chanKey]Config
 
-	// freeRec heads the delivery-record pool. Records are pushed back in
-	// run before Recv executes, so a simulation's pool size converges to
-	// its peak in-flight message count and then stops allocating.
+	// freeRec heads the record pool. Records are pushed back in run once
+	// their receiver returns, so a simulation's pool size converges to
+	// its peak count of scheduled messages and then stops allocating.
 	freeRec *delivRec
+
+	// send is f.Send bound once, the continuation SendAfter schedules.
+	send func(*coherence.Msg)
+	// intercepted is the scratch copy of the message handed to the
+	// interceptor: passing the caller's pointer through an interface call
+	// would make every Send's argument escape to the heap.
+	intercepted coherence.Msg
 
 	// Bus, when non-nil, receives a structured trace event for every
 	// send, delivery, and drop (obs.KindSend/KindRecv/KindDrop) — the
@@ -209,7 +242,7 @@ type Fabric struct {
 // NewFabric returns a fabric using eng for delivery scheduling and seed
 // for latency jitter.
 func NewFabric(eng *sim.Engine, seed int64, defaults Config) *Fabric {
-	return &Fabric{
+	f := &Fabric{
 		eng:      eng,
 		rng:      rand.New(rand.NewSource(seed)),
 		nodes:    make(map[coherence.NodeID]coherence.Controller),
@@ -217,6 +250,8 @@ func NewFabric(eng *sim.Engine, seed int64, defaults Config) *Fabric {
 		defaults: defaults,
 		routes:   make(map[chanKey]Config),
 	}
+	f.send = f.Send
+	return f
 }
 
 // AttachObs registers the fabric's instruments with r: counters
@@ -273,11 +308,13 @@ func (f *Fabric) channelFor(k chanKey) *channel {
 // only affects messages not yet sent.
 func (f *Fabric) SetInterceptor(i Interceptor) { f.interceptor = i }
 
-// Send delivers m to m.Dst after the channel's latency. The message must
-// not be mutated after sending. An installed Interceptor may replace the
-// single delivery with any set of perturbed deliveries (or none); channel
-// traffic stats always count the logical send once, while in-flight
-// accounting and recv events track the actual deliveries.
+// Send delivers a copy of *m to m.Dst after the channel's latency. m is
+// only read during the call: the caller may reuse or discard it once
+// Send returns (its Data block, shared by reference, must not be
+// mutated). An installed Interceptor may replace the single delivery
+// with any set of perturbed deliveries (or none); channel traffic stats
+// always count the logical send once, while in-flight accounting and
+// recv events track the actual deliveries.
 func (f *Fabric) Send(m *coherence.Msg) {
 	dst, ok := f.nodes[m.Dst]
 	if !ok {
@@ -293,21 +330,31 @@ func (f *Fabric) Send(m *coherence.Msg) {
 	f.mMsgs.Inc()
 	f.mBytes.Add(uint64(m.Bytes()))
 
-	if f.interceptor != nil {
-		if dels, handled := f.interceptor.Intercept(f.eng.Now(), m); handled {
-			for i := range dels {
-				f.deliver(ch, dst, dels[i])
-			}
-			return
+	if f.interceptor != nil && f.intercept(ch, dst, m) {
+		return
+	}
+	f.deliver(ch, dst, &Delivery{Msg: m})
+}
+
+// intercept offers a scratch copy of m to the interceptor and schedules
+// the deliveries it returns, reporting whether it handled m.
+func (f *Fabric) intercept(ch *channel, dst coherence.Controller, m *coherence.Msg) bool {
+	f.intercepted = *m
+	dels, handled := f.interceptor.Intercept(f.eng.Now(), &f.intercepted)
+	if handled {
+		for i := range dels {
+			f.deliver(ch, dst, &dels[i])
 		}
 	}
-	f.deliver(ch, dst, Delivery{Msg: m})
+	f.intercepted = coherence.Msg{}
+	return handled
 }
 
 // deliver schedules one arrival on ch; d carries the (possibly perturbed)
 // message and its fault adjustments. The arrival rides a pooled delivRec
-// instead of a closure, so the steady-state cost is heap push only.
-func (f *Fabric) deliver(ch *channel, dst coherence.Controller, d Delivery) {
+// holding a copy of the message instead of a closure, so the
+// steady-state cost is heap push only.
+func (f *Fabric) deliver(ch *channel, dst coherence.Controller, d *Delivery) {
 	m := d.Msg
 	ch.inflight++
 	f.mInflight.Add(1)
@@ -328,17 +375,47 @@ func (f *Fabric) deliver(ch *channel, dst coherence.Controller, d Delivery) {
 		b.Emit(obs.MsgEvent(f.eng.Now(), obs.KindSend, "net", m))
 	}
 
+	r := f.record()
+	r.ch = ch
+	r.dst = dst
+	r.m = *m
+	f.eng.ScheduleEventAt(arrival, &r.ev)
+}
+
+// record takes a record from the pool, allocating one only while the
+// pool is still growing to the peak number of scheduled messages.
+func (f *Fabric) record() *delivRec {
 	r := f.freeRec
 	if r != nil {
 		f.freeRec = r.next
 		r.next = nil
-	} else {
-		r = &delivRec{fab: f}
-		r.ev.Fn = r.run // the pool's one allocation: bound method value
+		return r
 	}
-	r.ch, r.dst, r.m = ch, dst, m
-	f.eng.ScheduleEventAt(arrival, &r.ev)
+	r = &delivRec{fab: f}
+	r.ev.Fn = r.run // the pool's one allocation: bound method value
+	return r
 }
+
+// After runs fn on a copy of *m after delay ticks: the allocation-free
+// form of eng.Schedule(delay, func() { fn(m) }) for a controller's
+// delayed message work, taking one engine sequence number at the call
+// exactly as that closure would. m is only read during the call. fn
+// borrows its argument like Controller.Recv does (valid until fn
+// returns), and must be bound once — a method value stored at
+// construction — since a method value built per call would allocate the
+// closure this replaces.
+func (f *Fabric) After(delay sim.Time, m *coherence.Msg, fn func(*coherence.Msg)) {
+	r := f.record()
+	r.fn = fn
+	r.m = *m
+	f.eng.ScheduleEvent(delay, &r.ev)
+}
+
+// SendAfter sends a copy of *m after delay ticks, as
+// After(delay, m, f.Send): the message is fixed now and Send runs then,
+// so traffic accounting, interception and the trace see the send at its
+// send time.
+func (f *Fabric) SendAfter(delay sim.Time, m *coherence.Msg) { f.After(delay, m, f.send) }
 
 // StatsFor returns traffic counters for the directed channel src->dst
 // (zero-valued if unused).

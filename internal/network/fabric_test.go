@@ -10,7 +10,7 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// sink records received messages with arrival times.
+// sink records (copies of) received messages with arrival times.
 type sink struct {
 	id   coherence.NodeID
 	eng  *sim.Engine
@@ -21,7 +21,7 @@ type sink struct {
 func (s *sink) ID() coherence.NodeID { return s.id }
 func (s *sink) Name() string         { return "sink" }
 func (s *sink) Recv(m *coherence.Msg) {
-	s.got = append(s.got, m)
+	s.got = append(s.got, m.Clone())
 	s.when = append(s.when, s.eng.Now())
 }
 
@@ -221,5 +221,62 @@ func TestFabricMetrics(t *testing.T) {
 	wantBytes := uint64(3 * coherence.ControlBytes)
 	if got := r.Counter("net.bytes").Value(); got != wantBytes {
 		t.Fatalf("net.bytes = %d, want %d", got, wantBytes)
+	}
+}
+
+// keeper violates the borrow contract on purpose: it keeps the pointer
+// Recv lends it, after checking the message is intact during the call.
+type keeper struct {
+	id     coherence.NodeID
+	kept   []*coherence.Msg
+	during []coherence.Msg
+}
+
+func (k *keeper) ID() coherence.NodeID { return k.id }
+func (k *keeper) Name() string         { return "keeper" }
+func (k *keeper) Recv(m *coherence.Msg) {
+	k.kept = append(k.kept, m)
+	k.during = append(k.during, *m)
+}
+
+// TestRecvBorrowsMessage pins the ownership contract: the message a
+// receiver gets is the fabric's copy, intact for the duration of Recv
+// and zeroed once Recv returns, so a controller that keeps the pointer
+// instead of a copy reads MsgInvalid at address 0 rather than a stale
+// or reused message. The sender's own message is never touched, and an
+// After continuation borrows its argument the same way.
+func TestRecvBorrowsMessage(t *testing.T) {
+	eng := sim.NewEngine()
+	f := NewFabric(eng, 1, Config{Latency: 1})
+	k := &keeper{id: 2}
+	f.Register(&nop{id: 1})
+	f.Register(k)
+	sent := coherence.Msg{Type: coherence.ADataM, Addr: 0x1040, Src: 1, Dst: 2,
+		Data: mem.Zero(), Dirty: true, Tag: 9}
+	f.Send(&sent)
+	f.SendAfter(5, &coherence.Msg{Type: coherence.AInv, Addr: 0x2000, Src: 1, Dst: 2})
+	var keptAfter *coherence.Msg
+	var duringAfter coherence.Msg
+	f.After(2, &coherence.Msg{Type: coherence.AGetS, Addr: 0x3000}, func(m *coherence.Msg) {
+		keptAfter, duringAfter = m, *m
+	})
+	eng.RunUntilQuiet()
+
+	if len(k.kept) != 2 {
+		t.Fatalf("keeper received %d messages, want 2", len(k.kept))
+	}
+	if k.during[0] != sent || k.during[1].Type != coherence.AInv || k.during[1].Addr != 0x2000 {
+		t.Fatalf("messages not intact during Recv: %v / %v", &k.during[0], &k.during[1])
+	}
+	if duringAfter.Type != coherence.AGetS || duringAfter.Addr != 0x3000 {
+		t.Fatalf("After continuation saw %v, want A:GetS at 0x3000", &duringAfter)
+	}
+	for i, m := range append(k.kept, keptAfter) {
+		if *m != (coherence.Msg{}) || m.Type != coherence.MsgInvalid {
+			t.Fatalf("kept pointer %d reads %v after its handler returned, want the zero message", i, m)
+		}
+	}
+	if sent.Type != coherence.ADataM || sent.Data == nil {
+		t.Fatalf("sender's message was modified: %v", &sent)
 	}
 }

@@ -51,9 +51,11 @@ func ScheduleDrain(events int) uint64 {
 }
 
 // echo is a controller that bounces each received message back to its
-// peer until the shared hop budget is spent. The two directions reuse
-// two preallocated messages (immutable once sent; each is always
-// delivered before it is re-sent), so steady state allocates nothing.
+// peer until the shared hop budget is spent. Each direction re-sends one
+// preallocated message: Send copies it into the fabric's delivery record
+// and Recv only borrows that copy (see coherence.Msg), so a message may
+// be re-sent while earlier copies are still in flight, and steady state
+// allocates nothing.
 type echo struct {
 	id    coherence.NodeID
 	fab   *network.Fabric
@@ -92,7 +94,7 @@ func HotPath(pairs, hops int) (sim.Time, uint64) {
 	fab.Register(a)
 	fab.Register(b)
 	for i := 0; i < pairs; i++ {
-		// Each chain needs its own in-flight message objects.
+		// Send copies each chain head, so a literal per chain suffices.
 		fab.Send(&coherence.Msg{Type: coherence.AGetS, Addr: mem.Addr(0x1000 + i*64), Src: 1, Dst: 2})
 	}
 	end := eng.RunUntilQuiet()

@@ -37,10 +37,10 @@ const (
 )
 
 type wideLine struct {
-	busy     bool // paired transaction outstanding
-	op       *coherence.Msg
-	pending  int      // sub-block responses still expected
-	issue    sim.Time // first sub-block request tick, for crossing latency
+	busy     bool          // paired transaction outstanding
+	op       coherence.Msg // core operation the fill serves
+	pending  int           // sub-block responses still expected
+	issue    sim.Time      // first sub-block request tick, for crossing latency
 	inflight [2]bool
 	half     [2]halfState
 	dirty    [2]bool
@@ -57,8 +57,10 @@ type WideAccel struct {
 
 	cache      *cacheset.Cache[wideLine]
 	wb         map[mem.Addr]int // wide evictions: outstanding WBAcks
-	waiting    coherence.LineQueue[*coherence.Msg]
-	stalledOps []*coherence.Msg
+	waiting    coherence.LineQueue[coherence.Msg]
+	stalledOps []coherence.Msg
+	// handleCPUFn is w.handleCPU bound once, for fabric.After replays.
+	handleCPUFn func(*coherence.Msg)
 
 	// Merges counts wide fills assembled from sub-blocks; Splits counts
 	// wide writebacks split into host blocks; FalseShareRecalls counts
@@ -79,6 +81,7 @@ func NewWideAccel(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 		cache: cacheset.New[wideLine](sets, ways),
 		wb:    make(map[mem.Addr]int),
 	}
+	w.handleCPUFn = w.handleCPU
 	fab.Register(w)
 	return w
 }
@@ -134,12 +137,12 @@ func (w *WideAccel) send(ty coherence.MsgType, addr mem.Addr, data *mem.Block, d
 func (w *WideAccel) handleCPU(m *coherence.Msg) {
 	wa := wideAddr(m.Addr)
 	if _, busy := w.wb[wa]; busy {
-		w.waiting.Park(wa, m)
+		w.waiting.Park(wa, *m)
 		return
 	}
 	e := w.cache.Lookup(wa)
 	if e != nil && e.V.busy {
-		w.waiting.Park(wa, m)
+		w.waiting.Park(wa, *m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -150,7 +153,7 @@ func (w *WideAccel) handleCPU(m *coherence.Msg) {
 			return !e.V.busy
 		})
 		if !ok {
-			w.stalledOps = append(w.stalledOps, m)
+			w.stalledOps = append(w.stalledOps, *m)
 			return
 		}
 		if victim != nil {
@@ -188,7 +191,7 @@ func (w *WideAccel) fill(e *cacheset.Entry[wideLine], wa mem.Addr, op *coherence
 	}
 	_ = want
 	e.V.busy = true
-	e.V.op = op
+	e.V.op = *op
 	e.V.pending = 0
 	for h := 0; h < 2; h++ {
 		sub := wa + mem.Addr(h*mem.BlockBytes)
@@ -241,7 +244,7 @@ func (w *WideAccel) handleData(m *coherence.Msg) {
 func (w *WideAccel) completeFill(e *cacheset.Entry[wideLine]) {
 	op := e.V.op
 	e.V.busy = false
-	e.V.op = nil
+	e.V.op = coherence.Msg{}
 	h := halfIndex(op.Addr)
 	if op.Type == coherence.ReqStore {
 		if e.V.half[h] == halfE {
@@ -249,9 +252,9 @@ func (w *WideAccel) completeFill(e *cacheset.Entry[wideLine]) {
 		}
 		e.V.dirty[h] = true
 		e.V.data[h][op.Addr.Offset()] = op.Val
-		w.respond(op, 0)
+		w.respond(&op, 0)
 	} else {
-		w.respond(op, e.V.data[h][op.Addr.Offset()])
+		w.respond(&op, e.V.data[h][op.Addr.Offset()])
 	}
 	w.settled(e.Addr)
 }
@@ -335,29 +338,20 @@ func (w *WideAccel) handleInv(m *coherence.Msg) {
 	}
 }
 
+// respond completes a core operation after a one-tick hit latency.
 func (w *WideAccel) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	w.eng.Schedule(1, func() {
-		w.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: w.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	r := op.Completion(w.id, val)
+	w.fab.SendAfter(1, &r)
 }
 
 func (w *WideAccel) settled(wa mem.Addr) {
 	if next, ok := w.waiting.Pop(wa); ok {
-		w.eng.Schedule(0, func() { w.handleCPU(next) })
+		w.fab.After(0, &next, w.handleCPUFn)
 	}
-	if len(w.stalledOps) > 0 {
-		stalled := w.stalledOps
-		w.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			w.eng.Schedule(0, func() { w.handleCPU(op) })
-		}
+	for i := range w.stalledOps {
+		w.fab.After(0, &w.stalledOps[i], w.handleCPUFn)
 	}
+	w.stalledOps = w.stalledOps[:0]
 }
 
 // Outstanding reports open transactions.
