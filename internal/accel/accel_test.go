@@ -55,7 +55,8 @@ func (g *mockGuard) Recv(m *coherence.Msg) {
 		g.putSs++
 		g.fab.Send(&coherence.Msg{Type: coherence.AWBAck, Addr: m.Addr, Src: g.id, Dst: m.Src})
 	case coherence.AInvAck, coherence.ACleanWB, coherence.ADirtyWB:
-		g.invResps = append(g.invResps, m.Clone()) // m is only borrowed
+		c := *m // m is only borrowed
+		g.invResps = append(g.invResps, &c)
 		if m.Data != nil && m.Type == coherence.ADirtyWB {
 			g.mem.Write(m.Addr, m.Data)
 		}

@@ -33,8 +33,8 @@ type L1Cache struct {
 	wb         map[mem.Addr]*aLine // put-origin B entries
 	waiting    coherence.LineQueue[coherence.Msg]
 	stalledOps []coherence.Msg
-	// handleCPUFn is c.handleCPU bound once, for fabric.After replays.
-	handleCPUFn func(*coherence.Msg)
+	// recvFn is c.Recv bound once, for fabric.After replays.
+	recvFn func(*coherence.Msg)
 
 	// epoch is the guard epoch this cache operates under (0 until the
 	// first device reset). Guard messages from another epoch are
@@ -59,7 +59,7 @@ func NewL1Cache(id coherence.NodeID, name string, fab *network.Fabric,
 		wb:    make(map[mem.Addr]*aLine),
 		Cov:   NewTable1Coverage(),
 	}
-	c.handleCPUFn = c.handleCPU
+	c.recvFn = c.Recv
 	fab.Register(c)
 	return c
 }
@@ -359,10 +359,10 @@ func (c *L1Cache) sendToXG(ty coherence.MsgType, line mem.Addr, data *mem.Block,
 
 func (c *L1Cache) settled(line mem.Addr) {
 	if next, ok := c.waiting.Pop(line); ok {
-		c.fab.After(0, &next, c.handleCPUFn)
+		c.fab.After(0, &next, c.recvFn)
 	}
 	for i := range c.stalledOps {
-		c.fab.After(0, &c.stalledOps[i], c.handleCPUFn)
+		c.fab.After(0, &c.stalledOps[i], c.recvFn)
 	}
 	c.stalledOps = c.stalledOps[:0]
 }

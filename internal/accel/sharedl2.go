@@ -57,7 +57,7 @@ type SharedL2 struct {
 	// local transaction; it is serviced with priority as soon as the
 	// line goes idle, ahead of queued requests (whose own guard Gets may
 	// be deferred until this very Invalidate is answered).
-	hostInv   map[mem.Addr]*coherence.Msg
+	hostInv   map[mem.Addr]coherence.Msg
 	ignoreAck map[mem.Addr]map[coherence.NodeID]int
 	// recvFn and serveFn are l.Recv and l.serve bound once, for
 	// fabric.After.
@@ -85,7 +85,7 @@ func NewSharedL2(id coherence.NodeID, name string, fab *network.Fabric,
 		id: id, name: name, fab: fab, cfg: cfg, xg: xg,
 		cache:     cacheset.New[sl2Line](cfg.L2Sets, cfg.L2Ways),
 		evictions: make(map[mem.Addr]*sl2Line),
-		hostInv:   make(map[mem.Addr]*coherence.Msg),
+		hostInv:   make(map[mem.Addr]coherence.Msg),
 		ignoreAck: make(map[mem.Addr]map[coherence.NodeID]int),
 		Cov:       NewSharedL2Coverage(),
 	}
@@ -174,7 +174,7 @@ func (l *SharedL2) Reset(epoch uint32) {
 	l.evictions = make(map[mem.Addr]*sl2Line)
 	l.waiting.Reset()
 	l.stalled = nil
-	l.hostInv = make(map[mem.Addr]*coherence.Msg)
+	l.hostInv = make(map[mem.Addr]coherence.Msg)
 	l.ignoreAck = make(map[mem.Addr]map[coherence.NodeID]int)
 }
 
@@ -547,10 +547,10 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 			// priority as soon as it completes (it must never wait
 			// behind queued requests, whose guard Gets are deferred
 			// until this Invalidate is answered).
-			if l.hostInv[addr] != nil {
+			if _, ok := l.hostInv[addr]; ok {
 				panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 			}
-			l.hostInv[addr] = m.Clone()
+			l.hostInv[addr] = *m
 		}
 		return
 	}
@@ -593,8 +593,7 @@ func (l *SharedL2) invalidateUnderFetch(addr mem.Addr, e *cacheset.Entry[sl2Line
 // Invalidate is answered, so waiting for the fetch to finish first would
 // deadlock into the 2c timeout.
 func (l *SharedL2) applyPendingHostInv(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	m := l.hostInv[addr]
-	if m == nil {
+	if _, ok := l.hostInv[addr]; !ok {
 		return
 	}
 	if e.V.txn == nil || e.V.txn.kind != sl2Fetch {
@@ -671,9 +670,9 @@ func (l *SharedL2) startLocalRecallInSet(addr mem.Addr) {
 // --- wakeups ---
 
 func (l *SharedL2) pop(addr mem.Addr) {
-	if m := l.hostInv[addr]; m != nil {
+	if m, ok := l.hostInv[addr]; ok {
 		delete(l.hostInv, addr)
-		l.handleAInv(m)
+		l.handleAInv(&m)
 		return
 	}
 	// Process synchronously so no same-tick arrival can cut in front.

@@ -53,8 +53,8 @@ type InnerL1 struct {
 	wb         map[mem.Addr]*innerLine
 	waiting    coherence.LineQueue[coherence.Msg]
 	stalledOps []coherence.Msg
-	// handleCPUFn is c.handleCPU bound once, for fabric.After replays.
-	handleCPUFn func(*coherence.Msg)
+	// recvFn is c.Recv bound once, for fabric.After replays.
+	recvFn func(*coherence.Msg)
 
 	// epoch is the guard epoch the hierarchy operates under (0 until the
 	// first device reset); stamped on every protocol send, checked on
@@ -75,7 +75,7 @@ func NewInnerL1(id coherence.NodeID, name string, fab *network.Fabric,
 		wb:    make(map[mem.Addr]*innerLine),
 		Cov:   NewInnerL1Coverage(),
 	}
-	c.handleCPUFn = c.handleCPU
+	c.recvFn = c.Recv
 	fab.Register(c)
 	return c
 }
@@ -283,10 +283,10 @@ func (c *InnerL1) handleInv(m *coherence.Msg) {
 
 func (c *InnerL1) settled(line mem.Addr) {
 	if next, ok := c.waiting.Pop(line); ok {
-		c.fab.After(0, &next, c.handleCPUFn)
+		c.fab.After(0, &next, c.recvFn)
 	}
 	for i := range c.stalledOps {
-		c.fab.After(0, &c.stalledOps[i], c.handleCPUFn)
+		c.fab.After(0, &c.stalledOps[i], c.recvFn)
 	}
 	c.stalledOps = c.stalledOps[:0]
 }

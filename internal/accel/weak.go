@@ -40,8 +40,8 @@ type WeakL1 struct {
 	stalledOps []coherence.Msg
 	flushing   int // outstanding flush writebacks
 	onFlush    func()
-	// handleCPUFn is c.handleCPU bound once, for fabric.After replays.
-	handleCPUFn func(*coherence.Msg)
+	// recvFn is c.Recv bound once, for fabric.After replays.
+	recvFn func(*coherence.Msg)
 }
 
 // NewWeakL1 builds and registers a weak private L1.
@@ -51,7 +51,7 @@ func NewWeakL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.F
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2,
 		cache: cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
 	}
-	c.handleCPUFn = c.handleCPU
+	c.recvFn = c.Recv
 	fab.Register(c)
 	return c
 }
@@ -262,10 +262,10 @@ func (c *WeakL1) respond(op *coherence.Msg, val byte) {
 
 func (c *WeakL1) settledWeak(line mem.Addr) {
 	if next, ok := c.waiting.Pop(line); ok {
-		c.fab.After(0, &next, c.handleCPUFn)
+		c.fab.After(0, &next, c.recvFn)
 	}
 	for i := range c.stalledOps {
-		c.fab.After(0, &c.stalledOps[i], c.handleCPUFn)
+		c.fab.After(0, &c.stalledOps[i], c.recvFn)
 	}
 	c.stalledOps = c.stalledOps[:0]
 }

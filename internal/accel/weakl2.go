@@ -50,7 +50,7 @@ type WeakL2 struct {
 	evictions map[mem.Addr]*wkLine
 	waiting   coherence.LineQueue[coherence.Msg]
 	stalled   []coherence.Msg
-	hostInv   map[mem.Addr]*coherence.Msg // copies of parked guard Invalidates
+	hostInv   map[mem.Addr]coherence.Msg // copies of parked guard Invalidates
 	// recvFn and serveWeakFn are l.Recv and l.serveWeak bound once, for
 	// fabric.After.
 	recvFn, serveWeakFn func(*coherence.Msg)
@@ -63,7 +63,7 @@ func NewWeakL2(id coherence.NodeID, name string, fab *network.Fabric,
 		id: id, name: name, fab: fab, cfg: cfg, xg: xg,
 		cache:     cacheset.New[wkLine](cfg.L2Sets, cfg.L2Ways),
 		evictions: make(map[mem.Addr]*wkLine),
-		hostInv:   make(map[mem.Addr]*coherence.Msg),
+		hostInv:   make(map[mem.Addr]coherence.Msg),
 	}
 	l.recvFn, l.serveWeakFn = l.Recv, l.serveWeak
 	fab.Register(l)
@@ -311,10 +311,10 @@ func (l *WeakL2) handleAInv(m *coherence.Msg) {
 		case wkFetch:
 			t.invPend = true // answered when the grant lands
 		default:
-			if l.hostInv[addr] != nil {
+			if _, ok := l.hostInv[addr]; ok {
 				panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 			}
-			l.hostInv[addr] = m.Clone()
+			l.hostInv[addr] = *m
 		}
 		return
 	}
@@ -384,9 +384,9 @@ func (l *WeakL2) startEvictInSet(addr mem.Addr) {
 }
 
 func (l *WeakL2) pop(addr mem.Addr) {
-	if m := l.hostInv[addr]; m != nil {
+	if m, ok := l.hostInv[addr]; ok {
 		delete(l.hostInv, addr)
-		l.handleAInv(m)
+		l.handleAInv(&m)
 		return
 	}
 	l.waiting.Replay(addr, l.Recv)

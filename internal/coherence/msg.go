@@ -211,8 +211,8 @@ const (
 // fabric's record, valid until Recv returns and zeroed right after (a
 // kept pointer then reads MsgInvalid at address 0). Anything that must
 // outlive the handler — a parked request, an open transaction's
-// operation, a deferred forward — stores its own copy, by value or with
-// Clone. The Data block is not copied: it is shared by reference and
+// operation, a deferred forward — stores its own copy by value. The
+// Data block is not copied: it is shared by reference and
 // must not be mutated once sent, so senders that keep mutating a block
 // send a copy of it.
 //
@@ -242,14 +242,6 @@ type Msg struct {
 	Dirty  bool // data is modified relative to memory
 	Shared bool // responder also holds/held the block shared
 	Val    byte // byte operand/result for sequencer-level ops
-}
-
-// Clone returns a heap copy of m that the caller owns, for a holder that
-// must keep a borrowed message past its handler behind a pointer. The
-// Data block is shared, not copied (sent blocks are immutable).
-func (m *Msg) Clone() *Msg {
-	c := *m
-	return &c
 }
 
 // Completion returns the sequencer-level response to the ReqLoad or
@@ -307,7 +299,7 @@ type Controller interface {
 	// the fabric's delivery record, is valid only until Recv returns,
 	// and is zeroed afterwards. A controller that keeps the message
 	// (parks it, records it as a transaction's operation, defers it)
-	// stores a copy — *m by value, or m.Clone() — never m itself.
+	// stores a copy — *m by value — never m itself.
 	Recv(m *Msg)
 }
 

@@ -235,16 +235,6 @@ type Guard struct {
 	// re-runs them once the blocking recall or shim transaction closes.
 	parked coherence.LineQueue[parkedReq]
 
-	// rateArrive holds the arrival ticks of requests waiting out a
-	// rate-limit delay, in admission order; resumeRated pops the head.
-	// The limiter never lets a later admission fire before an earlier
-	// one (each delayed request only deepens its token debt), and equal
-	// fire ticks run in scheduling order, so the head always belongs to
-	// the request being resumed.
-	rateArrive []sim.Time
-	// resumeRatedFn is g.resumeRated bound once, for fabric.After.
-	resumeRatedFn func(*coherence.Msg)
-
 	// Disabled is set once the error policy shuts the accelerator out.
 	Disabled bool
 	// Quarantined is set once the quarantine policy fences the
@@ -381,7 +371,6 @@ func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fa
 		shards:    make([]guardShard, n),
 		shardMask: uint64(n - 1),
 	}
-	g.resumeRatedFn = g.resumeRated
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.txns = make(map[mem.Addr]*accelTxn)
@@ -684,19 +673,12 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 	if g.cfg.Rate != nil {
 		if wait := g.cfg.Rate.Admit(arrive); wait > 0 {
 			g.RateDelayed++
-			g.rateArrive = append(g.rateArrive, arrive)
-			g.fab.After(wait, m, g.resumeRatedFn)
+			// m is borrowed: the delayed continuation keeps its own copy.
+			mc := *m
+			g.eng.Schedule(wait, func() { g.processAccelRequest(&mc, arrive) })
 			return
 		}
 	}
-	g.processAccelRequest(m, arrive)
-}
-
-// resumeRated processes a request once its rate-limit wait has passed,
-// with its original arrival tick.
-func (g *Guard) resumeRated(m *coherence.Msg) {
-	arrive := g.rateArrive[0]
-	g.rateArrive = g.rateArrive[1:]
 	g.processAccelRequest(m, arrive)
 }
 

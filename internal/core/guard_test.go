@@ -47,9 +47,12 @@ type accelSink struct {
 	got []*coherence.Msg
 }
 
-func (a *accelSink) ID() coherence.NodeID  { return a.id }
-func (a *accelSink) Name() string          { return "accelSink" }
-func (a *accelSink) Recv(m *coherence.Msg) { a.got = append(a.got, m.Clone()) }
+func (a *accelSink) ID() coherence.NodeID { return a.id }
+func (a *accelSink) Name() string         { return "accelSink" }
+func (a *accelSink) Recv(m *coherence.Msg) {
+	c := *m
+	a.got = append(a.got, &c)
+}
 
 type coreRig struct {
 	eng   *sim.Engine

@@ -42,8 +42,8 @@ type Cache struct {
 	wb         map[mem.Addr]*cLine
 	waiting    coherence.LineQueue[coherence.Msg]
 	stalledOps []coherence.Msg
-	// handleCPUFn is c.handleCPU bound once, for fabric.After replays.
-	handleCPUFn func(*coherence.Msg)
+	// recvFn is c.Recv bound once, for fabric.After replays.
+	recvFn func(*coherence.Msg)
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
@@ -62,7 +62,7 @@ func NewCache(id coherence.NodeID, name string, fab *network.Fabric,
 		wb:        make(map[mem.Addr]*cLine),
 		Cov:       NewCacheCoverage(),
 	}
-	c.handleCPUFn = c.handleCPU
+	c.recvFn = c.Recv
 	fab.Register(c)
 	return c
 }
@@ -462,10 +462,10 @@ func (c *Cache) handleNack(m *coherence.Msg) {
 
 func (c *Cache) settled(line mem.Addr) {
 	if next, ok := c.waiting.Pop(line); ok {
-		c.fab.After(0, &next, c.handleCPUFn)
+		c.fab.After(0, &next, c.recvFn)
 	}
 	for i := range c.stalledOps {
-		c.fab.After(0, &c.stalledOps[i], c.handleCPUFn)
+		c.fab.After(0, &c.stalledOps[i], c.recvFn)
 	}
 	c.stalledOps = c.stalledOps[:0]
 }

@@ -39,9 +39,8 @@ type L1 struct {
 	// stalledOps holds CPU operations that could not allocate a line
 	// because every way in the set was transient.
 	stalledOps []coherence.Msg
-	// recvFn and handleCPUFn are l.Recv and l.handleCPU bound once, for
-	// fabric.After replays.
-	recvFn, handleCPUFn func(*coherence.Msg)
+	// recvFn is l.Recv bound once, for fabric.After replays.
+	recvFn func(*coherence.Msg)
 
 	// Cov records (state, event) coverage for the stress-test report.
 	Cov *coherence.Coverage
@@ -56,7 +55,7 @@ func NewL1(id coherence.NodeID, name string, fab *network.Fabric,
 		wb:    make(map[mem.Addr]*l1Line),
 		Cov:   NewL1Coverage(),
 	}
-	l.recvFn, l.handleCPUFn = l.Recv, l.handleCPU
+	l.recvFn = l.Recv
 	fab.Register(l)
 	return l
 }
@@ -555,10 +554,10 @@ func (l *L1) drainFwds(e *cacheset.Entry[l1Line]) {
 // stalled on allocation.
 func (l *L1) settled(line mem.Addr) {
 	if next, ok := l.waiting.Pop(line); ok {
-		l.fab.After(0, &next, l.handleCPUFn)
+		l.fab.After(0, &next, l.recvFn)
 	}
 	for i := range l.stalledOps {
-		l.fab.After(0, &l.stalledOps[i], l.handleCPUFn)
+		l.fab.After(0, &l.stalledOps[i], l.recvFn)
 	}
 	l.stalledOps = l.stalledOps[:0]
 }

@@ -21,7 +21,8 @@ type sink struct {
 func (s *sink) ID() coherence.NodeID { return s.id }
 func (s *sink) Name() string         { return "sink" }
 func (s *sink) Recv(m *coherence.Msg) {
-	s.got = append(s.got, m.Clone())
+	c := *m
+	s.got = append(s.got, &c)
 	s.when = append(s.when, s.eng.Now())
 }
 

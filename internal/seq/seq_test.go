@@ -23,7 +23,8 @@ type echoCache struct {
 func (c *echoCache) ID() coherence.NodeID { return c.id }
 func (c *echoCache) Name() string         { return "echo" }
 func (c *echoCache) Recv(m *coherence.Msg) {
-	m = m.Clone() // kept past Recv: seen, and the delayed reply
+	c2 := *m // kept past Recv: seen, and the delayed reply
+	m = &c2
 	c.seen = append(c.seen, m)
 	c.eng.Schedule(c.delay, func() {
 		resp := &coherence.Msg{Addr: m.Addr, Src: c.id, Dst: m.Src, Tag: m.Tag}

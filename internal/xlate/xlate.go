@@ -59,8 +59,8 @@ type WideAccel struct {
 	wb         map[mem.Addr]int // wide evictions: outstanding WBAcks
 	waiting    coherence.LineQueue[coherence.Msg]
 	stalledOps []coherence.Msg
-	// handleCPUFn is w.handleCPU bound once, for fabric.After replays.
-	handleCPUFn func(*coherence.Msg)
+	// recvFn is w.Recv bound once, for fabric.After replays.
+	recvFn func(*coherence.Msg)
 
 	// Merges counts wide fills assembled from sub-blocks; Splits counts
 	// wide writebacks split into host blocks; FalseShareRecalls counts
@@ -81,7 +81,7 @@ func NewWideAccel(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 		cache: cacheset.New[wideLine](sets, ways),
 		wb:    make(map[mem.Addr]int),
 	}
-	w.handleCPUFn = w.handleCPU
+	w.recvFn = w.Recv
 	fab.Register(w)
 	return w
 }
@@ -346,10 +346,10 @@ func (w *WideAccel) respond(op *coherence.Msg, val byte) {
 
 func (w *WideAccel) settled(wa mem.Addr) {
 	if next, ok := w.waiting.Pop(wa); ok {
-		w.fab.After(0, &next, w.handleCPUFn)
+		w.fab.After(0, &next, w.recvFn)
 	}
 	for i := range w.stalledOps {
-		w.fab.After(0, &w.stalledOps[i], w.handleCPUFn)
+		w.fab.After(0, &w.stalledOps[i], w.recvFn)
 	}
 	w.stalledOps = w.stalledOps[:0]
 }
